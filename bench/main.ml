@@ -63,7 +63,7 @@ module Country = Webdep_geo.Country
 
 module Span = Webdep_obs.Span
 module Obs_metrics = Webdep_obs.Metrics
-module Json = Webdep_obs.Json
+module Json = Webdep_json
 
 let env_int name default =
   match Sys.getenv_opt name with Some v -> int_of_string v | None -> default

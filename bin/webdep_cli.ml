@@ -1105,9 +1105,9 @@ let epochs_cmd =
           snapshots: the 2023 sweep seeds the baseline and each epoch \
           retires a deterministic fraction of every country's sites, \
           admitting replacements drawn from the 2025 sweep.  The log is \
-          an append-only JSON-lines segment (dictionary-compressed \
-          baseline, per-epoch churn records, commit markers) that \
-          recovers from torn tails and half-appended epochs.";
+          an append-only file of CRC-checked records (baseline, \
+          per-epoch churn records, commit markers) that recovers from \
+          torn tails, flipped bytes and half-appended epochs.";
       `P "Replay folds each epoch through the per-layer incremental \
           tallies, so advancing an epoch costs O(churn) rather than a \
           full re-sweep, and prints per-country score trends \

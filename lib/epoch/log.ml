@@ -1,38 +1,35 @@
 (* The append-only churn transaction log (tlog) behind multi-epoch
    replay.
 
-   On disk the log is a JSON-lines segment in the [Faults.Jsonl] mold —
-   a self-describing header line, then entry lines — in three parts:
+   On disk the log is a [Record] file — a JSON header, then entry
+   records, each tagged by its first byte:
 
-     header            {"schema":"webdep-epoch/1","base":K,"meta":{...}}
-     dict              {"kind":"dict","strings":[...]}
-     baseline          {"kind":"base","country":CC,"rows":[[ids...],...]}
-     per epoch         {"kind":"churn","epoch":E,"country":CC,
-                        "removed":[domains],"added":[site objects]}
-                       {"kind":"commit","epoch":E}
+     header            {"schema":"webdep-epoch/2","base":K,"meta":{...}}
+     0 base            country, sites                (one per country)
+     1 churn           epoch, country, removed domains, added sites
+     2 commit          epoch
 
-   The baseline is the compacted head: every site of the base epoch,
-   dictionary-compressed (one shared string table, each site a row of
-   interned ids plus a flag word) so old epochs collapsed into it cost a
-   fraction of their raw churn-record footprint.  Each later epoch is
-   recorded as raw churn — removed domains and fully-measured added
-   sites (the [Checkpoint] site codec, shared with the store spill) —
-   closed by a commit marker.
+   The baseline is the compacted head: every site of the base epoch, one
+   record per country.  Each later epoch is recorded as raw churn —
+   removed domains and fully-measured added sites — closed by a commit
+   marker.  Sites use the shared [Codec] block encoding (a per-record
+   string table, so every record stays self-contained and an appended
+   epoch needs nothing from earlier records).
 
    Crash safety mirrors the rest of the persistence plane: [create] and
-   [write] go through [Jsonl.write_atomic] (temp + fsync + rename), and
-   [append] writes an epoch's churn lines before its commit marker and
-   fsyncs, so a writer killed mid-append leaves either a torn line
-   (dropped by the [Jsonl] fold) or a committed-marker-less suffix —
-   [load] discards any epoch without its commit, keeping the last
-   committed prefix intact. *)
+   [write] go through [Record.write_atomic] (temp + fsync + rename), and
+   [append] writes an epoch's churn records before its commit marker and
+   fsyncs, so a writer killed mid-append leaves either a torn record
+   (dropped by the [Record] fold, as is one with a flipped byte) or a
+   commit-marker-less suffix — [load] discards any epoch without its
+   commit, keeping the last committed prefix intact. *)
 
 module Json = Webdep_json
 module D = Webdep.Dataset
-module Jsonl = Webdep_faults.Jsonl
-module Checkpoint = Webdep_faults.Checkpoint
+module Codec = Webdep_faults.Codec
+module Record = Webdep_faults.Record
 
-let schema = "webdep-epoch/1"
+let schema = "webdep-epoch/2"
 
 let m_appended = Webdep_obs.Metrics.counter "epoch.log.epochs_appended"
 let m_dropped = Webdep_obs.Metrics.counter "epoch.log.epochs_dropped"
@@ -51,274 +48,142 @@ type t = {
 
 type verdict = Absent | Mismatch of string | Loaded of t
 
-(* --- header ------------------------------------------------------------- *)
+(* --- records ------------------------------------------------------------ *)
 
-let header_line ~meta ~base_epoch =
-  Json.to_string
-    (Json.Obj
-       [ ("schema", Json.String schema);
-         ("base", Json.Int base_epoch);
-         ("meta", Json.Obj meta) ])
+let header ~meta ~base_epoch =
+  Json.Obj
+    [ ("schema", Json.String schema);
+      ("base", Json.Int base_epoch);
+      ("meta", Json.Obj meta) ]
 
-(* --- dictionary compression of the baseline ----------------------------- *)
+let record tag fill =
+  let b = Buffer.create 1024 in
+  Codec.put_u8 b tag;
+  fill b;
+  Buffer.contents b
 
-(* Interner assigning dense ids in first-encounter order; the decode
-   table is the id-ordered string list. *)
-type enc = { tbl : (string, int) Hashtbl.t; mutable next : int; mutable rev : string list }
+let base_record (cd : D.country_data) =
+  record 0 (fun b ->
+      Codec.put_str b cd.D.country;
+      Codec.put_sites b cd.D.sites)
 
-let enc () = { tbl = Hashtbl.create 1024; next = 0; rev = [] }
+let churn_record ~epoch (c : churn) =
+  record 1 (fun b ->
+      Codec.put_u32 b epoch;
+      Codec.put_str b c.country;
+      Codec.put_u32 b (List.length c.removed);
+      List.iter (Codec.put_str b) c.removed;
+      Codec.put_sites b c.added)
 
-let intern e s =
-  match Hashtbl.find_opt e.tbl s with
-  | Some i -> i
-  | None ->
-      let i = e.next in
-      Hashtbl.add e.tbl s i;
-      e.next <- i + 1;
-      e.rev <- s :: e.rev;
-      i
+let commit_record epoch = record 2 (fun b -> Codec.put_u32 b epoch)
 
-let intern_opt e = function None -> -1 | Some s -> intern e s
-
-let intern_entity e = function
-  | None -> (-1, -1)
-  | Some (en : D.entity) -> (intern e en.D.name, intern e en.D.country)
-
-(* One site as a 13-int row:
-   [domain; hosting name; hosting cc; dns name; dns cc; ca name; ca cc;
-    tld name; tld cc; hosting_geo; ns_geo; language; anycast flags],
-   -1 encoding [None]. *)
-let encode_site e (s : D.site) =
-  let hn, hc = intern_entity e s.D.hosting in
-  let dn, dc = intern_entity e s.D.dns in
-  let cn, cc = intern_entity e s.D.ca in
-  let tn = intern e s.D.tld.D.name and tc = intern e s.D.tld.D.country in
-  let flags =
-    (if s.D.hosting_anycast then 1 else 0) lor if s.D.ns_anycast then 2 else 0
-  in
-  [ intern e s.D.domain; hn; hc; dn; dc; cn; cc; tn; tc;
-    intern_opt e s.D.hosting_geo; intern_opt e s.D.ns_geo;
-    intern_opt e s.D.language; flags ]
-
-exception Bad
-
-let lookup dict i =
-  if i < 0 || i >= Array.length dict then raise Bad else dict.(i)
-
-let lookup_opt dict i = if i = -1 then None else Some (lookup dict i)
-
-let lookup_entity dict n c =
-  if n = -1 && c = -1 then None
-  else Some { D.name = lookup dict n; country = lookup dict c }
-
-let decode_site dict = function
-  | [ dom; hn; hc; dn; dc; cn; cc; tn; tc; hg; ng; lang; flags ] ->
-      {
-        D.domain = lookup dict dom;
-        hosting = lookup_entity dict hn hc;
-        dns = lookup_entity dict dn dc;
-        ca = lookup_entity dict cn cc;
-        tld = { D.name = lookup dict tn; country = lookup dict tc };
-        hosting_geo = lookup_opt dict hg;
-        ns_geo = lookup_opt dict ng;
-        hosting_anycast = flags land 1 <> 0;
-        ns_anycast = flags land 2 <> 0;
-        language = lookup_opt dict lang;
-      }
-  | _ -> raise Bad
-
-(* --- line rendering ----------------------------------------------------- *)
-
-let dict_line strings =
-  Json.to_string
-    (Json.Obj
-       [ ("kind", Json.String "dict");
-         ("strings", Json.List (List.map (fun s -> Json.String s) strings)) ])
-
-let base_line ~country rows =
-  Json.to_string
-    (Json.Obj
-       [ ("kind", Json.String "base");
-         ("country", Json.String country);
-         ( "rows",
-           Json.List
-             (List.map (fun row -> Json.List (List.map (fun i -> Json.Int i) row)) rows)
-         ) ])
-
-let churn_line ~epoch (c : churn) =
-  Json.to_string
-    (Json.Obj
-       [ ("kind", Json.String "churn");
-         ("epoch", Json.Int epoch);
-         ("country", Json.String c.country);
-         ("removed", Json.List (List.map (fun d -> Json.String d) c.removed));
-         ("added", Json.List (List.map Checkpoint.site_to_json c.added)) ])
-
-let commit_line epoch =
-  Json.to_string
-    (Json.Obj [ ("kind", Json.String "commit"); ("epoch", Json.Int epoch) ])
-
-(* The baseline segment: encode every site first (building the dict in
-   deterministic first-encounter order), then emit dict before rows. *)
-let baseline_lines base =
-  let e = enc () in
-  let per_country =
-    List.map
-      (fun (cd : D.country_data) ->
-        (cd.D.country, List.map (encode_site e) cd.D.sites))
-      base
-  in
-  dict_line (List.rev e.rev)
-  :: List.map (fun (country, rows) -> base_line ~country rows) per_country
-
-let lines t =
-  baseline_lines t.base
-  @ List.concat_map
-      (fun ev ->
-        List.map (churn_line ~epoch:ev.epoch) ev.changes @ [ commit_line ev.epoch ])
-      t.events
+let epoch_records ev =
+  List.map (churn_record ~epoch:ev.epoch) ev.changes @ [ commit_record ev.epoch ]
 
 (* --- writing ------------------------------------------------------------ *)
 
 let write ~path t =
-  Jsonl.write_atomic ~path ~header:(header_line ~meta:t.meta ~base_epoch:t.base_epoch)
-    (lines t)
+  Record.write_atomic ~path
+    ~header:(header ~meta:t.meta ~base_epoch:t.base_epoch)
+    (List.map base_record t.base @ List.concat_map epoch_records t.events)
 
 let create ~path ?(meta = []) ~base_epoch ~base () =
   write ~path
     { meta; base_epoch; base; events = []; head = base_epoch; dropped = false }
 
-(* Append one committed epoch: churn lines, then the commit marker, then
-   flush + fsync — O(churn) regardless of how long the log already is.
-   A crash before the commit marker reaches disk makes the whole epoch
-   invisible to [load]. *)
+(* Append one committed epoch: churn records, then the commit marker,
+   then flush + fsync — O(churn) regardless of how long the log already
+   is.  A crash before the commit marker reaches disk makes the whole
+   epoch invisible to [load]. *)
 let append ~path ~epoch changes =
-  let oc = open_out_gen [ Open_append; Open_wronly ] 0o644 path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      List.iter
-        (fun c ->
-          output_string oc (churn_line ~epoch c);
-          output_char oc '\n')
-        changes;
-      output_string oc (commit_line epoch);
-      output_char oc '\n';
-      flush oc;
-      Unix.fsync (Unix.descr_of_out_channel oc));
+  Record.append ~path (epoch_records { epoch; changes });
   Webdep_obs.Metrics.incr m_appended
 
 (* --- loading ------------------------------------------------------------ *)
 
-let to_string_j = function Json.String s -> s | _ -> raise Bad
-let to_int_j = function Json.Int i -> i | _ -> raise Bad
-let get key obj = match Json.member key obj with Some v -> v | None -> raise Bad
-let to_list_j = function Json.List l -> l | _ -> raise Bad
-
-(* Streaming fold state: the dict, baseline countries so far (reversed),
-   committed events (reversed), and the churn lines of the epoch whose
-   commit marker has not arrived yet. *)
+(* Streaming fold state: the header, baseline countries so far
+   (reversed), committed events (reversed), and the churn records of the
+   epoch whose commit marker has not arrived yet. *)
 type fstate = {
-  mutable dict : string array option;
+  meta : (string * Json.t) list;
+  base_epoch : int;
   mutable base_rev : D.country_data list;
   mutable events_rev : event list;
   mutable pending : (int * churn list) option;  (* epoch, reversed changes *)
   mutable last : int;  (* last committed epoch *)
 }
 
-let apply_line st line =
-  let v = Json.parse line in
-  match to_string_j (get "kind" v) with
-  | "dict" ->
-      if st.dict <> None then raise Bad;
-      st.dict <-
-        Some (Array.of_list (List.map to_string_j (to_list_j (get "strings" v))))
-  | "base" ->
-      let dict = match st.dict with Some d -> d | None -> raise Bad in
-      if st.pending <> None || st.events_rev <> [] then raise Bad;
-      let country = to_string_j (get "country" v) in
-      let sites =
-        List.map
-          (fun row -> decode_site dict (List.map to_int_j (to_list_j row)))
-          (to_list_j (get "rows" v))
-      in
-      st.base_rev <- { D.country; sites } :: st.base_rev
-  | "churn" ->
-      let epoch = to_int_j (get "epoch" v) in
-      let churn =
-        {
-          country = to_string_j (get "country" v);
-          removed = List.map to_string_j (to_list_j (get "removed" v));
-          added =
-            List.map
-              (fun s ->
-                match Checkpoint.site_of_json s with Some s -> s | None -> raise Bad)
-              (to_list_j (get "added" v));
-        }
-      in
-      (match st.pending with
+let read_header v =
+  match (Json.member "schema" v, Json.member "base" v, Json.member "meta" v) with
+  | Some (Json.String s), _, _ when not (String.equal s schema) ->
+      Codec.fail "schema %s, want %s" s schema
+  | Some (Json.String _), Some (Json.Int base_epoch), Some (Json.Obj meta) ->
+      { meta; base_epoch; base_rev = []; events_rev = []; pending = None;
+        last = base_epoch }
+  | _ -> Codec.fail "malformed header"
+
+type entry = Base of D.country_data | Churn of int * churn | Commit of int
+
+let decode payload =
+  let cur = Codec.cursor payload in
+  let entry =
+    match Codec.get_u8 cur with
+    | 0 ->
+        let country = Codec.get_str cur in
+        Base { D.country; sites = Codec.get_sites cur }
+    | 1 ->
+        let epoch = Codec.get_u32 cur in
+        let country = Codec.get_str cur in
+        let removed = Codec.get_list (Codec.get_u32 cur) (fun () -> Codec.get_str cur) in
+        Churn (epoch, { country; removed; added = Codec.get_sites cur })
+    | 2 -> Commit (Codec.get_u32 cur)
+    | tag -> Codec.fail "bad record tag %d" tag
+  in
+  Codec.finish cur "log record";
+  entry
+
+let apply st payload =
+  (match decode payload with
+  | Base cd ->
+      if st.pending <> None || st.events_rev <> [] then Codec.fail "baseline after churn";
+      st.base_rev <- cd :: st.base_rev
+  | Churn (epoch, churn) -> (
+      match st.pending with
       | Some (e, acc) when e = epoch -> st.pending <- Some (e, churn :: acc)
-      | Some _ -> raise Bad  (* interleaved epochs: not a valid log *)
+      | Some _ -> Codec.fail "interleaved epochs"
       | None ->
-          if epoch <= st.last then raise Bad;
+          if epoch <= st.last then Codec.fail "epoch %d not after %d" epoch st.last;
           st.pending <- Some (epoch, [ churn ]))
-  | "commit" -> (
-      let epoch = to_int_j (get "epoch" v) in
+  | Commit epoch -> (
       match st.pending with
       | Some (e, acc) when e = epoch ->
           st.events_rev <- { epoch; changes = List.rev acc } :: st.events_rev;
           st.pending <- None;
           st.last <- epoch
-      | Some _ -> raise Bad
+      | Some _ -> Codec.fail "commit for another epoch"
       | None ->
-          (* An epoch may legitimately have no churn lines at all. *)
-          if epoch <= st.last then raise Bad;
+          (* An epoch may legitimately have no churn records at all. *)
+          if epoch <= st.last then Codec.fail "epoch %d not after %d" epoch st.last;
           st.events_rev <- { epoch; changes = [] } :: st.events_rev;
-          st.last <- epoch)
-  | _ -> raise Bad
+          st.last <- epoch));
+  st
 
 let load ~path =
-  if not (Sys.file_exists path) then Absent
-  else begin
-    (* The header is self-describing: read it, check the schema, then
-       hand the exact line back to [Jsonl.fold] as the expected header
-       so the entry fold shares the torn-tail machinery. *)
-    let ic = open_in path in
-    let header = (try input_line ic with End_of_file -> "") in
-    close_in ic;
-    match Json.parse header with
-    | exception Json.Parse_error _ -> Mismatch "unreadable header"
-    | v -> (
-        match (Json.member "schema" v, Json.member "base" v, Json.member "meta" v) with
-        | Some (Json.String s), _, _ when not (String.equal s schema) ->
-            Mismatch (Printf.sprintf "schema %s, want %s" s schema)
-        | Some (Json.String _), Some (Json.Int base_epoch), Some (Json.Obj meta) -> (
-            let st =
-              { dict = None; base_rev = []; events_rev = []; pending = None;
-                last = base_epoch }
-            in
-            let f () line =
-              match apply_line st line with
-              | () -> Some ()
-              | exception (Bad | Json.Parse_error _) -> None
-            in
-            match Jsonl.fold ~path ~header ~init:() ~f with
-            | Jsonl.Fold_no_file -> Absent
-            | Jsonl.Fold_header_mismatch -> Mismatch "header changed underfoot"
-            | Jsonl.Folded { acc = (); torn } ->
-                (* An uncommitted trailing epoch (the writer died between
-                   its churn lines and its commit marker) is dropped
-                   exactly like a torn line. *)
-                let dropped = torn || st.pending <> None in
-                if dropped then Webdep_obs.Metrics.incr m_dropped;
-                Loaded
-                  {
-                    meta;
-                    base_epoch;
-                    base = List.rev st.base_rev;
-                    events = List.rev st.events_rev;
-                    head = st.last;
-                    dropped;
-                  })
-        | _ -> Mismatch "malformed header")
-  end
+  match Record.fold ~path ~header:read_header ~f:apply with
+  | Record.Absent -> Absent
+  | Record.Rejected msg -> Mismatch msg
+  | Record.Folded { acc = st; torn } ->
+      (* An uncommitted trailing epoch (the writer died between its churn
+         records and its commit marker) is dropped exactly like a torn
+         record. *)
+      let dropped = torn || st.pending <> None in
+      if dropped then Webdep_obs.Metrics.incr m_dropped;
+      Loaded
+        {
+          meta = st.meta;
+          base_epoch = st.base_epoch;
+          base = List.rev st.base_rev;
+          events = List.rev st.events_rev;
+          head = st.last;
+          dropped;
+        }

@@ -1,13 +1,14 @@
-(** Append-only churn transaction log: a dictionary-compressed baseline
-    snapshot (the compacted head) followed by per-epoch churn records,
-    each epoch closed by a commit marker.
+(** Append-only churn transaction log: a baseline snapshot (the
+    compacted head, one interned site block per country) followed by
+    per-epoch churn records, each epoch closed by a commit marker.
 
-    The on-disk format is a self-describing JSON-lines segment sharing
-    the crash-safety machinery of {!Webdep_faults.Jsonl}: whole-file
-    writes are atomic (temp + fsync + rename), appends are
-    epoch-at-a-time with the commit marker last, and {!load} recovers
-    from both a torn trailing line and a committed-marker-less suffix by
-    dropping everything after the last committed epoch. *)
+    The on-disk format is a {!Webdep_faults.Record} file (schema
+    [webdep-epoch/2]) sharing the crash-safety machinery of the other
+    durable files: whole-file writes are atomic (temp + fsync + rename),
+    appends are epoch-at-a-time with the commit marker last, and
+    {!load} recovers from a torn or corrupted record and from a
+    commit-marker-less suffix by dropping everything after the last
+    committed epoch. *)
 
 type churn = {
   country : string;
@@ -41,7 +42,7 @@ val create :
 (** Write a fresh log holding only the baseline, atomically. *)
 
 val append : path:string -> epoch:int -> churn list -> unit
-(** Append one committed epoch — churn lines, then the commit marker,
+(** Append one committed epoch — churn records, then the commit marker,
     then fsync.  O(churn), independent of log length.  A crash before
     the marker reaches disk leaves the epoch invisible to {!load}.
     [epoch] must exceed the log's current head (checked on load). *)
@@ -53,8 +54,3 @@ val load : path:string -> verdict
 (** Parse the log back, keeping the longest committed prefix.  [Mismatch]
     reports a foreign or unreadable header;  [dropped] on the loaded log
     flags recovered-over damage. *)
-
-val lines : t -> string list
-(** The entry lines [write] would emit (sans header) — exposed so tests
-    can check the dictionary round-trip and tamper with specific
-    lines. *)

@@ -1,16 +1,17 @@
 (** Checkpoint/resume for interrupted measurement sweeps.
 
-    A checkpoint is a JSON-lines file: a header line with a schema tag
-    and the sweep parameters, then one line per completed country
-    shard.  Because site records contain only strings, bools and
-    options, the JSON round-trip is exact — a resumed sweep reproduces
-    the uninterrupted dataset structurally (and byte-identically once
-    printed).
+    A checkpoint is a {!Record} file: a header with a schema tag and
+    the sweep parameters, then one record per completed country shard
+    (sites in the {!Codec} site encoding).  The round-trip is exact — a
+    resumed sweep reproduces the uninterrupted dataset structurally
+    (and byte-identically once printed).
 
     Opening a checkpoint whose header does not match the current sweep
     parameters discards it: resuming under different parameters would
-    silently mix two different worlds.  A corrupt trailing line (the
-    writer was killed mid-line) is dropped on open. *)
+    silently mix two different worlds (counted in
+    [checkpoint.invalidated]).  A torn or corrupted tail (the writer was
+    killed mid-record, or a byte flipped) is dropped on open, counted in
+    [checkpoint.torn_recovered]. *)
 
 type entry = {
   country : string;
@@ -22,7 +23,7 @@ type t
 
 val schema : string
 
-val open_ : path:string -> meta:(string * Webdep_obs.Json.t) list -> t
+val open_ : path:string -> meta:(string * Webdep_json.t) list -> t
 (** Open (creating or resuming) a checkpoint.  [meta] identifies the
     sweep (world seed, size, epoch, vantage, fault parameters...); it
     becomes part of the header and must match exactly on resume. *)
@@ -40,13 +41,3 @@ val record : t -> entry -> unit
     [checkpoint.countries_written]. *)
 
 val close : t -> unit
-
-(** {2 Site (de)serialization}
-
-    The per-site JSON codec, shared with the measurement store's spill
-    format so both files stay mutually readable per record. *)
-
-val site_to_json : Webdep.Dataset.site -> Webdep_obs.Json.t
-
-val site_of_json : Webdep_obs.Json.t -> Webdep.Dataset.site option
-(** [None] on a malformed record (missing field, wrong type). *)

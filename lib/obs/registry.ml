@@ -18,6 +18,8 @@
    webdep-metrics/2 upgrades /1 with interpolated quantiles (p50..p999)
    and a per-bucket "sum" alongside each count. *)
 
+module Json = Webdep_json
+
 let schema_version = "webdep-metrics/2"
 
 let histogram_json h =

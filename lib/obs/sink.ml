@@ -11,6 +11,8 @@
    serialize their writes through a lock — each emitted line is atomic
    with respect to other domains. *)
 
+module Json = Webdep_json
+
 (* GC-counter movement across a span: minor/promoted/major words are the
    allocation story ([Gc.quick_stat] deltas, so words not bytes), major
    collections say whether the span paid for a full marking cycle. *)

@@ -364,7 +364,7 @@ type sweep = {
 }
 
 let checkpoint_meta ?vantage ?resolution ?epoch ~faults world =
-  let open Webdep_obs.Json in
+  let open Webdep_json in
   [
     ("world_seed", Int (World.seed world));
     ("c", Int (World.c world));

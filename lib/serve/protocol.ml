@@ -13,9 +13,12 @@ module D = Webdep.Dataset
 module World = Webdep_worldgen.World
 module Json = Webdep_json
 
-exception Protocol_error of string
+(* The payload primitives — fixed-width big-endian fields, u16-prefixed
+   strings, the bounds-checked cursor — are the durable files' [Codec];
+   its [Malformed] is this module's [Protocol_error]. *)
+open Webdep_faults.Codec
 
-let fail fmt = Printf.ksprintf (fun msg -> raise (Protocol_error msg)) fmt
+exception Protocol_error = Malformed
 
 (* --- message types ------------------------------------------------------ *)
 
@@ -96,48 +99,6 @@ let canonical_epoch name =
   | None -> name
 
 (* --- binary encoding ---------------------------------------------------- *)
-
-let put_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
-
-let put_u16 b v =
-  if v < 0 || v > 0xffff then fail "u16 out of range: %d" v;
-  put_u8 b (v lsr 8);
-  put_u8 b v
-
-let put_f64 b v = Buffer.add_int64_be b (Int64.bits_of_float v)
-
-let put_str b s =
-  put_u16 b (String.length s);
-  Buffer.add_string b s
-
-type cursor = { data : string; mutable off : int }
-
-let need cur n =
-  if cur.off + n > String.length cur.data then fail "truncated payload"
-
-let get_u8 cur =
-  need cur 1;
-  let v = Char.code cur.data.[cur.off] in
-  cur.off <- cur.off + 1;
-  v
-
-let get_u16 cur =
-  let hi = get_u8 cur in
-  let lo = get_u8 cur in
-  (hi lsl 8) lor lo
-
-let get_f64 cur =
-  need cur 8;
-  let v = Int64.float_of_bits (String.get_int64_be cur.data cur.off) in
-  cur.off <- cur.off + 8;
-  v
-
-let get_str cur =
-  let n = get_u16 cur in
-  need cur n;
-  let s = String.sub cur.data cur.off n in
-  cur.off <- cur.off + n;
-  s
 
 let encode_request req =
   let b = Buffer.create 32 in

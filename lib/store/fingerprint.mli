@@ -29,7 +29,7 @@ val v :
 
 val equal : t -> t -> bool
 
-val to_meta : t -> (string * Webdep_obs.Json.t) list
+val to_meta : t -> (string * Webdep_json.t) list
 (** Header fields for the spill file, in a fixed order — the store
     compares serialized header lines byte-for-byte, so the order is part
     of the format. *)

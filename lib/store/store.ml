@@ -1,9 +1,10 @@
 module Json = Webdep_json
 module D = Webdep.Dataset
 module Degrade = Webdep_faults.Degrade
-module Checkpoint = Webdep_faults.Checkpoint
+module Codec = Webdep_faults.Codec
+module Record = Webdep_faults.Record
 
-let schema = "webdep-store/1"
+let schema = "webdep-store/2"
 
 let m_hits = Webdep_obs.Metrics.counter "store.hits"
 let m_misses = Webdep_obs.Metrics.counter "store.misses"
@@ -60,38 +61,40 @@ let add t ~epoch ~resolution ~vantage domain entry =
 
 (* --- spill file -------------------------------------------------------- *)
 
-let header_line fp =
-  Json.to_string (Json.Obj (("schema", Json.String schema) :: Fingerprint.to_meta fp))
+(* One [Record] per entry: the key's first three components, the
+   outcome, then the site as a one-row [Codec] block (the domain is the
+   key's fourth component). *)
+let encode ~epoch ~resolution ~vantage e =
+  let b = Buffer.create 256 in
+  Codec.put_str b epoch;
+  Codec.put_str b resolution;
+  Codec.put_str b vantage;
+  Codec.put_u8 b
+    (match e.outcome with Degrade.Clean -> 0 | Degrade.Degraded -> 1 | Degrade.Failed -> 2);
+  Codec.put_sites b [ e.site ];
+  Buffer.contents b
 
-let entry_line ~epoch ~resolution ~vantage e =
-  Json.to_string
-    (Json.Obj
-       [
-         ("epoch", Json.String epoch);
-         ("resolution", Json.String resolution);
-         ("vantage", Json.String vantage);
-         ("outcome", Json.String (Degrade.outcome_name e.outcome));
-         ("site", Checkpoint.site_to_json e.site);
-       ])
+let decode payload =
+  let cur = Codec.cursor payload in
+  let epoch = Codec.get_str cur in
+  let resolution = Codec.get_str cur in
+  let vantage = Codec.get_str cur in
+  let outcome =
+    match Codec.get_u8 cur with
+    | 0 -> Degrade.Clean
+    | 1 -> Degrade.Degraded
+    | 2 -> Degrade.Failed
+    | n -> Codec.fail "bad outcome %d" n
+  in
+  let site =
+    match Codec.get_sites cur with
+    | [ s ] -> s
+    | _ -> Codec.fail "spill entry holds one site"
+  in
+  Codec.finish cur "spill entry";
+  (key ~epoch ~resolution ~vantage site.D.domain, { site; outcome })
 
-let outcome_of_name = function
-  | "clean" -> Some Degrade.Clean
-  | "degraded" -> Some Degrade.Degraded
-  | "failed" -> Some Degrade.Failed
-  | _ -> None
-
-let entry_of_line line =
-  match Json.parse line with
-  | exception Json.Parse_error _ -> None
-  | v -> (
-      let str k = match Json.member k v with Some (Json.String s) -> Some s | _ -> None in
-      match (str "epoch", str "resolution", str "vantage", str "outcome", Json.member "site" v) with
-      | Some epoch, Some resolution, Some vantage, Some oname, Some site_v -> (
-          match (outcome_of_name oname, Checkpoint.site_of_json site_v) with
-          | Some outcome, Some site ->
-              Some (key ~epoch ~resolution ~vantage site.D.domain, { site; outcome })
-          | _ -> None)
-      | _ -> None)
+let header fp = Json.Obj (("schema", Json.String schema) :: Fingerprint.to_meta fp)
 
 let save t path =
   let items =
@@ -99,41 +102,36 @@ let save t path =
         Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.entries [])
   in
   let items = List.sort (fun (a, _) (b, _) -> String.compare a b) items in
-  let lines =
+  let payloads =
     List.map
       (fun (k, e) ->
         match String.split_on_char '|' k with
-        | [ epoch; resolution; vantage; _domain ] ->
-            entry_line ~epoch ~resolution ~vantage e
+        | [ epoch; resolution; vantage; _domain ] -> encode ~epoch ~resolution ~vantage e
         | _ -> assert false)
       items
   in
   (* Atomic replace: a sweep killed mid-save leaves the previous spill
      intact instead of a truncated file. *)
-  Webdep_faults.Jsonl.write_atomic ~path ~header:(header_line t.fingerprint) lines
+  Record.write_atomic ~path ~header:(header t.fingerprint) payloads
 
 let m_torn = Webdep_obs.Metrics.counter "store.spill.torn_recovered"
 
 let load ~path ~fingerprint =
   let t = create ~fingerprint () in
-  (* Stream the spill straight into the table — one line live at a time,
-     so loading a large spill never materializes the whole segment. *)
-  let f () line =
-    match entry_of_line line with
-    | Some (k, e) ->
-        Hashtbl.replace t.entries k e;
-        Some ()
-    | None -> None
+  let expected = header fingerprint in
+  let check h = if h <> expected then Codec.fail "foreign spill" in
+  (* Stream the spill straight into the table — one record live at a
+     time, so loading a large spill never materializes the whole file. *)
+  let f () payload =
+    let k, e = decode payload in
+    Hashtbl.replace t.entries k e
   in
-  (match
-     Webdep_faults.Jsonl.fold ~path ~header:(header_line fingerprint) ~init:() ~f
-   with
-  | Webdep_faults.Jsonl.Fold_no_file -> ()
-  | Webdep_faults.Jsonl.Fold_header_mismatch ->
-      if Sys.file_exists path then Webdep_obs.Metrics.incr m_invalidated
-  | Webdep_faults.Jsonl.Folded { acc = (); torn } ->
-      (* A torn tail can only come from a pre-atomic spill (or a
-         filesystem that lost the rename); keep the intact prefix —
-         everything after the first bad line is suspect. *)
+  (match Record.fold ~path ~header:check ~f with
+  | Record.Absent -> ()
+  | Record.Rejected _ -> Webdep_obs.Metrics.incr m_invalidated
+  | Record.Folded { acc = (); torn } ->
+      (* A torn tail can only come from a filesystem that lost the
+         rename or a rotted byte; keep the intact prefix — everything
+         from the first bad record on is suspect. *)
       if torn then Webdep_obs.Metrics.incr m_torn);
   t

@@ -196,38 +196,26 @@ let test_empty_epoch_commit () =
   | [] -> Alcotest.fail "no events");
   Sys.remove path
 
-let read_lines path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-  in
-  go []
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let write_raw path lines ~torn_tail =
-  let oc = open_out path in
-  List.iteri
-    (fun i line ->
-      if i < List.length lines - 1 then (
-        output_string oc line;
-        output_char oc '\n')
-      else if torn_tail then
-        (* last line torn: no newline, half the bytes *)
-        output_string oc (String.sub line 0 (String.length line / 2))
-      else (
-        output_string oc line;
-        output_char oc '\n'))
-    lines;
-  close_out oc
+let write_file path data =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
+
+(* The file's bytes and the start offset of its last record, walking the
+   [u32 len][u32 crc][payload] frames. *)
+let last_record path =
+  let data = read_file path in
+  let rec go off =
+    let next = off + 8 + (Int32.to_int (String.get_int32_be data off) land 0xFFFF_FFFF) in
+    if next >= String.length data then off else go next
+  in
+  (data, go 0)
 
 let test_torn_tail_recovery () =
   let path = build_log (make_events ~seed:8 ~fraction:0.1 ~epochs:3) in
-  let all = read_lines path in
-  (* Tear the final commit marker mid-line: epoch 3 must vanish. *)
-  write_raw path all ~torn_tail:true;
+  let data, last = last_record path in
+  (* Tear the final commit marker mid-record: epoch 3 must vanish. *)
+  write_file path (String.sub data 0 (last + ((String.length data - last) / 2)));
   let log = load_exn path in
   Alcotest.(check bool) "damage flagged" true log.Log.dropped;
   Alcotest.(check int) "head rolled back" 2 log.Log.head;
@@ -239,11 +227,10 @@ let test_torn_tail_recovery () =
 
 let test_uncommitted_epoch_dropped () =
   let path = build_log (make_events ~seed:8 ~fraction:0.1 ~epochs:3) in
-  let all = read_lines path in
-  (* Drop the final commit marker entirely: epoch 3's churn lines are
+  let data, last = last_record path in
+  (* Drop the final commit marker entirely: epoch 3's churn records are
      present and intact, but the transaction never committed. *)
-  let without_commit = List.filteri (fun i _ -> i < List.length all - 1) all in
-  write_raw path without_commit ~torn_tail:false;
+  write_file path (String.sub data 0 last);
   let log = load_exn path in
   Alcotest.(check bool) "uncommitted epoch flagged" true log.Log.dropped;
   Alcotest.(check int) "head rolled back" 2 log.Log.head;
@@ -256,18 +243,26 @@ let test_uncommitted_epoch_dropped () =
 let test_load_rejects () =
   let path = temp_log () in
   Alcotest.(check bool) "absent" true (Log.load ~path = Log.Absent);
-  let oc = open_out path in
-  output_string oc "{\"schema\":\"other/1\",\"base\":0,\"meta\":{}}\n";
-  close_out oc;
+  Webdep_faults.Record.write_atomic ~path
+    ~header:
+      (Webdep_json.Obj
+         [ ("schema", Webdep_json.String "other/1");
+           ("base", Webdep_json.Int 0);
+           ("meta", Webdep_json.Obj []) ])
+    [];
   (match Log.load ~path with
-  | Log.Mismatch _ -> ()
+  | Log.Mismatch m ->
+      Alcotest.(check string) "schema named" "schema other/1, want webdep-epoch/2" m
   | _ -> Alcotest.fail "foreign schema must mismatch");
-  let oc = open_out path in
-  output_string oc "not json at all\n";
-  close_out oc;
+  Out_channel.with_open_bin path (fun oc ->
+      Webdep_faults.Record.output oc "not json at all");
   (match Log.load ~path with
   | Log.Mismatch _ -> ()
   | _ -> Alcotest.fail "garbage header must mismatch");
+  write_file path "not a record file\n";
+  (match Log.load ~path with
+  | Log.Mismatch _ -> ()
+  | _ -> Alcotest.fail "non-record file must mismatch");
   Sys.remove path
 
 (* --- compaction ----------------------------------------------------------- *)

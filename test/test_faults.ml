@@ -1,9 +1,11 @@
 (* webdep_faults: deterministic fault plans, retry/backoff, quarantine,
-   coverage gating and checkpoint/resume.  The invariants here back the
-   robustness acceptance criteria: plans are pure (byte-identical sweeps
-   at any job count), transient failures are never memoized, and an
-   interrupted sweep resumed from its checkpoint reproduces the
-   uninterrupted dataset exactly. *)
+   coverage gating, checkpoint/resume and the durable record format.
+   The invariants here back the robustness acceptance criteria: plans
+   are pure (byte-identical sweeps at any job count), transient failures
+   are never memoized, an interrupted sweep resumed from its checkpoint
+   reproduces the uninterrupted dataset exactly, and no durable file
+   (checkpoint, store spill, epoch log, serve snapshot) ever loads a
+   changed entry after a cut or a flipped byte. *)
 
 module Faults = Webdep_faults.Fault_plan
 module Retry = Webdep_faults.Retry
@@ -324,8 +326,24 @@ let test_faulted_scores_stay_close () =
 
 (* --- checkpoint ---------------------------------------------------------- *)
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path data =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
+
+(* End offsets of the intact [Record] frames of a file's bytes, header
+   first: [u32 len][u32 crc][payload] each. *)
+let record_ends data =
+  let rec go off acc =
+    if off + 8 > String.length data then List.rev acc
+    else
+      let next = off + 8 + (Int32.to_int (String.get_int32_be data off) land 0xFFFF_FFFF) in
+      if next > String.length data then List.rev acc else go next (next :: acc)
+  in
+  go 0 []
+
 let with_temp_file f =
-  let path = Filename.temp_file "webdep_cp" ".jsonl" in
+  let path = Filename.temp_file "webdep_cp" ".ckpt" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
 let test_checkpoint_roundtrip () =
@@ -354,19 +372,13 @@ let test_checkpoint_interrupted_resume () =
   let faults = fault_opts () in
   let full = Measure.measure_sweep ~countries:sample ~faults ~checkpoint:path world in
   (* Simulate a mid-sweep kill: drop all but the header and the first two
-     completed shards, plus a torn half-written line. *)
-  let lines = ref [] in
-  let ic = open_in path in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  let keep = List.filteri (fun i _ -> i < 3) (List.rev !lines) in
-  let oc = open_out path in
-  List.iter (fun l -> output_string oc (l ^ "\n")) keep;
-  output_string oc "{\"country\":\"BR\",\"clean\":12,\"sit";
-  close_out oc;
+     completed shards, plus the first half of the third — a torn
+     half-written record. *)
+  let data = read_file path in
+  (match record_ends data with
+  | _header :: _one :: two :: three :: _ ->
+      write_file path (String.sub data 0 (two + ((three - two) / 2)))
+  | _ -> Alcotest.fail "expected a header and three records");
   let resumed = Measure.measure_sweep ~countries:sample ~faults ~checkpoint:path world in
   Alcotest.(check bool) "interrupted resume reproduces the full dataset" true
     (datasets_equal full.Measure.dataset resumed.Measure.dataset);
@@ -393,26 +405,49 @@ let test_checkpoint_parameter_mismatch_discards () =
     (datasets_equal direct.Measure.dataset fresh.Measure.dataset)
 
 
-(* --- shared JSONL helper -------------------------------------------------- *)
+(* --- record framing -------------------------------------------------------- *)
 
-module Jsonl = Webdep_faults.Jsonl
+module Record = Webdep_faults.Record
+module Codec = Webdep_faults.Codec
+module Json = Webdep_json
 
 let temp_path () =
-  let p = Filename.temp_file "webdep_jsonl_test" ".jsonl" in
+  let p = Filename.temp_file "webdep_record_test" ".rec" in
   Sys.remove p;
   p
 
-let jsonl_parse line = if String.length line > 0 && line.[0] = '#' then None else Some line
+(* Collect entry payloads; a payload starting with '#' is one the
+   decoder rejects. *)
+let collect ?(header = Json.String "H1") path =
+  let check h = if h <> header then Codec.fail "foreign header" in
+  let f acc p =
+    if String.length p > 0 && p.[0] = '#' then Codec.fail "rejected" else p :: acc
+  in
+  match Record.fold ~path ~header:(fun h -> check h; []) ~f with
+  | Record.Folded { acc; torn } -> `Loaded (List.rev acc, torn)
+  | Record.Absent -> `Absent
+  | Record.Rejected _ -> `Rejected
 
-let test_jsonl_roundtrip () =
+let test_crc32_known_answers () =
+  Alcotest.(check int) "check value" 0xCBF43926 (Record.crc32 "123456789");
+  Alcotest.(check int) "empty" 0 (Record.crc32 "");
+  Alcotest.(check int) "one byte" 0xE8B7BE43 (Record.crc32 "a")
+
+let test_record_roundtrip () =
   let path = temp_path () in
-  let lines = [ "one"; "two"; "three" ] in
-  Jsonl.write_atomic ~path ~header:"H1" lines;
-  (match Jsonl.load ~path ~header:"H1" ~parse:jsonl_parse with
-  | Jsonl.Loaded { entries; torn } ->
-      Alcotest.(check (list string)) "entries round-trip" lines entries;
+  let entries = [ "one"; "two"; "three" ] in
+  Record.write_atomic ~path ~header:(Json.String "H1") entries;
+  (match collect path with
+  | `Loaded (got, torn) ->
+      Alcotest.(check (list string)) "entries round-trip" entries got;
       Alcotest.(check bool) "not torn" false torn
   | _ -> Alcotest.fail "expected Loaded");
+  (* Appends land after the existing records. *)
+  Record.append ~path [ "four" ];
+  (match collect path with
+  | `Loaded (got, false) ->
+      Alcotest.(check (list string)) "appended" (entries @ [ "four" ]) got
+  | _ -> Alcotest.fail "expected Loaded after append");
   (* No stray temp files left behind by the atomic write. *)
   let dir = Filename.dirname path and base = Filename.basename path in
   Array.iter
@@ -423,30 +458,261 @@ let test_jsonl_roundtrip () =
     (Sys.readdir dir);
   Sys.remove path
 
-let test_jsonl_torn_tail () =
+let test_record_torn_tail () =
   let path = temp_path () in
-  Jsonl.write_atomic ~path ~header:"H1" [ "one"; "two" ];
-  (* Simulate a kill mid-append: a trailing line the parser rejects. *)
-  let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "#corrupt-tail-without-newline";
-  close_out oc;
-  (match Jsonl.load ~path ~header:"H1" ~parse:jsonl_parse with
-  | Jsonl.Loaded { entries; torn } ->
-      Alcotest.(check (list string)) "intact prefix kept" [ "one"; "two" ] entries;
+  Record.write_atomic ~path ~header:(Json.String "H1") [ "one"; "two" ];
+  let intact = read_file path in
+  (* Simulate a kill mid-append: the first bytes of a third record. *)
+  Record.append ~path [ "three" ];
+  let appended = read_file path in
+  write_file path (String.sub appended 0 (String.length intact + 10));
+  (match collect path with
+  | `Loaded (got, torn) ->
+      Alcotest.(check (list string)) "intact prefix kept" [ "one"; "two" ] got;
       Alcotest.(check bool) "reported torn" true torn
   | _ -> Alcotest.fail "expected Loaded with torn tail");
+  (* A whole trailing record the decoder rejects is a torn tail too. *)
+  write_file path intact;
+  Record.append ~path [ "#corrupt-tail" ];
+  (match collect path with
+  | `Loaded (got, torn) ->
+      Alcotest.(check (list string)) "prefix before rejected record" [ "one"; "two" ] got;
+      Alcotest.(check bool) "rejected record reported torn" true torn
+  | _ -> Alcotest.fail "expected Loaded with rejected tail");
+  (* One flipped byte inside "one": the CRC drops it and everything after. *)
+  let b = Bytes.of_string intact in
+  let off = List.hd (record_ends intact) + 8 in
+  Bytes.set b off 'X';
+  write_file path (Bytes.to_string b);
+  (match collect path with
+  | `Loaded (got, torn) ->
+      Alcotest.(check (list string)) "nothing after the flip" [] got;
+      Alcotest.(check bool) "flip reported torn" true torn
+  | _ -> Alcotest.fail "expected Loaded after bit flip");
   Sys.remove path
 
-let test_jsonl_header_mismatch_and_absent () =
+let test_record_header_mismatch_and_absent () =
   let path = temp_path () in
-  (match Jsonl.load ~path ~header:"H1" ~parse:jsonl_parse with
-  | Jsonl.No_file -> ()
-  | _ -> Alcotest.fail "expected No_file");
-  Jsonl.write_atomic ~path ~header:"H1" [ "one" ];
-  (match Jsonl.load ~path ~header:"H2" ~parse:jsonl_parse with
-  | Jsonl.Header_mismatch -> ()
-  | _ -> Alcotest.fail "expected Header_mismatch");
+  (match collect path with `Absent -> () | _ -> Alcotest.fail "expected Absent");
+  Record.write_atomic ~path ~header:(Json.String "H1") [ "one" ];
+  (match collect ~header:(Json.String "H2") path with
+  | `Rejected -> ()
+  | _ -> Alcotest.fail "expected Rejected");
+  (* A file in no record format at all (e.g. a JSON-lines file). *)
+  write_file path "{\"schema\":\"H1\"}\none\n";
+  (match collect path with
+  | `Rejected -> ()
+  | _ -> Alcotest.fail "expected Rejected for a non-record file");
+  (* An intact header record that is not JSON. *)
+  Out_channel.with_open_bin path (fun oc -> Record.output oc "H1");
+  (match collect path with
+  | `Rejected -> ()
+  | _ -> Alcotest.fail "expected Rejected for a non-JSON header");
   Sys.remove path
+
+(* --- durability: one flipped byte or a cut, in any durable file ----------- *)
+
+(* The four durable file kinds share one property: write entries, then
+   truncate the file at a random byte or flip one random byte.  The
+   loader must return a prefix of the written entries — never a changed
+   one — and flag the damage.  The only damage allowed to go unflagged
+   is a cut exactly at a record boundary of an append-style file, which
+   is indistinguishable from a file that simply holds fewer entries; the
+   snapshot's header declares its shard count, so even that is flagged
+   there. *)
+
+module Store = Webdep_store.Store
+module Log = Webdep_epoch.Log
+module Synth = Webdep_epoch.Synth
+module Snapshot = Webdep_serve.Snapshot
+
+let counter name = Webdep_obs.Metrics.(value (counter name))
+
+let durable_fixture =
+  lazy
+    (let world = World.create ~c:60 ~seed:2024 () in
+     let countries = [ "US"; "DE"; "BR"; "JP" ] in
+     ( world,
+       Measure.measure_all ~countries world,
+       Measure.measure_all ~epoch:World.May_2025 ~countries world ))
+
+let rec is_prefix got want =
+  match (got, want) with
+  | [], _ -> true
+  | g :: gs, w :: ws -> g = w && is_prefix gs ws
+  | _ :: _, [] -> false
+
+type kind = {
+  name : string;
+  write : string -> unit;  (** write the pristine file *)
+  check : string -> bool * bool;  (** reload: (intact prefix, damage flagged) *)
+  counted : bool;  (** the header declares the entry count *)
+}
+
+let checkpoint_kind =
+  let meta = [ ("durability", Webdep_json.Int 1) ] in
+  let entries =
+    lazy
+      (let _, ds, _ = Lazy.force durable_fixture in
+       List.mapi
+         (fun i cc ->
+           { Checkpoint.country = cc;
+             tally = { Degrade.clean = i; degraded = 1; failed = 2 };
+             data = D.country_exn ds cc })
+         (D.countries ds))
+  in
+  {
+    name = "checkpoint";
+    counted = false;
+    write =
+      (fun path ->
+        let cp = Checkpoint.open_ ~path ~meta in
+        List.iter (Checkpoint.record cp) (Lazy.force entries);
+        Checkpoint.close cp);
+    check =
+      (fun path ->
+        let flags () = counter "checkpoint.torn_recovered" + counter "checkpoint.invalidated" in
+        let before = flags () in
+        let cp = Checkpoint.open_ ~path ~meta in
+        let entries = Lazy.force entries in
+        let got = List.filter_map (fun e -> Checkpoint.find cp e.Checkpoint.country) entries in
+        let ok = is_prefix got entries && Checkpoint.loaded cp = List.length got in
+        Checkpoint.close cp;
+        (ok, flags () > before));
+  }
+
+let store_kind =
+  let entries =
+    lazy
+      (let world, ds, _ = Lazy.force durable_fixture in
+       let fingerprint = Measure.store_fingerprint world in
+       let outcomes = [| Degrade.Clean; Degrade.Degraded; Degrade.Failed |] in
+       let items =
+         List.concat_map
+           (fun cc ->
+             List.mapi
+               (fun i (site : D.site) ->
+                 (cc, site.D.domain, { Store.site; outcome = outcomes.(i mod 3) }))
+               (List.filteri (fun i _ -> i < 8) (D.country_exn ds cc).D.sites))
+           (D.countries ds)
+       in
+       (* File order: sorted by key, which here is (vantage, domain). *)
+       (fingerprint, List.sort compare items))
+  in
+  let find st (cc, domain, _) =
+    Option.map
+      (fun e -> (cc, domain, e))
+      (Store.find st ~epoch:"2023-05" ~resolution:"direct" ~vantage:cc domain)
+  in
+  {
+    name = "store spill";
+    counted = false;
+    write =
+      (fun path ->
+        let fingerprint, items = Lazy.force entries in
+        let st = Store.create ~fingerprint () in
+        List.iter
+          (fun (cc, domain, e) ->
+            Store.add st ~epoch:"2023-05" ~resolution:"direct" ~vantage:cc domain e)
+          items;
+        Store.save st path);
+    check =
+      (fun path ->
+        let flags () = counter "store.spill.torn_recovered" + counter "store.invalidated" in
+        let before = flags () in
+        let fingerprint, items = Lazy.force entries in
+        let st = Store.load ~path ~fingerprint in
+        let got = List.filter_map (find st) items in
+        (is_prefix got items && Store.size st = List.length got, flags () > before));
+  }
+
+let log_kind =
+  let inputs =
+    lazy
+      (let _, ds23, ds25 = Lazy.force durable_fixture in
+       let base = List.map (D.country_exn ds23) (D.countries ds23) in
+       let donors =
+         List.map
+           (fun cc -> (cc, Array.of_list (D.country_exn ds25 cc).D.sites))
+           (D.countries ds25)
+       in
+       (base, Synth.generate ~seed:3 ~fraction:0.1 ~epochs:3 ~base_epoch:0 ~base ~donors))
+  in
+  {
+    name = "epoch log";
+    counted = false;
+    write =
+      (fun path ->
+        let base, events = Lazy.force inputs in
+        Log.create ~path ~base_epoch:0 ~base ();
+        List.iter
+          (fun (ev : Log.event) -> Log.append ~path ~epoch:ev.Log.epoch ev.Log.changes)
+          events);
+    check =
+      (fun path ->
+        let base, events = Lazy.force inputs in
+        match Log.load ~path with
+        | Log.Loaded l ->
+            ( is_prefix l.Log.base base
+              && (l.Log.events = [] || l.Log.base = base)
+              && is_prefix l.Log.events events,
+              l.Log.dropped )
+        | Log.Mismatch _ -> (true, true)
+        | Log.Absent -> (false, false));
+  }
+
+let snapshot_kind =
+  let datasets =
+    lazy
+      (let _, ds23, ds25 = Lazy.force durable_fixture in
+       [ ("2023-05", ds23); ("2025-05", ds25) ])
+  in
+  let shards () =
+    List.concat_map
+      (fun (epoch, ds) ->
+        List.map (fun cc -> { Snapshot.epoch; data = D.country_exn ds cc }) (D.countries ds))
+      (Lazy.force datasets)
+  in
+  let countries () = D.countries (snd (List.hd (Lazy.force datasets))) in
+  {
+    name = "serve snapshot";
+    counted = true;
+    write = (fun path -> Snapshot.save ~path ~fingerprint:"durability" (Lazy.force datasets));
+    check =
+      (fun path ->
+        match Snapshot.load ~path ~fingerprint:"durability" ~countries:(countries ()) with
+        | Snapshot.Torn got -> (is_prefix got (shards ()), true)
+        | Snapshot.Loaded got -> (got = shards (), false)
+        | Snapshot.Rejected -> (true, true)
+        | Snapshot.Absent -> (false, false));
+  }
+
+let durability kind =
+  let pristine =
+    lazy
+      (let path = temp_path () in
+       kind.write path;
+       let data = read_file path in
+       Sys.remove path;
+       data)
+  in
+  QCheck.Test.make ~count:150
+    ~name:(kind.name ^ ": a flipped byte or a cut keeps an intact prefix")
+    QCheck.(triple bool (int_bound 1_000_000) (int_range 1 255))
+    (fun (truncate, pos, mask) ->
+      let data = Lazy.force pristine in
+      let at = pos mod String.length data in
+      let damaged =
+        if truncate then String.sub data 0 at
+        else
+          String.mapi (fun i c -> if i = at then Char.chr (Char.code c lxor mask) else c) data
+      in
+      let path = temp_path () in
+      write_file path damaged;
+      let prefix, flagged = kind.check path in
+      Sys.remove path;
+      let boundary = truncate && (not kind.counted) && List.mem at (record_ends data) in
+      prefix && (flagged || boundary))
 
 (* --- wire chaos verdicts -------------------------------------------------- *)
 
@@ -534,13 +800,18 @@ let () =
           Alcotest.test_case "coverage gating" `Quick test_coverage_threshold_gates;
           Alcotest.test_case "scores stay close" `Quick test_faulted_scores_stay_close;
         ] );
-      ( "jsonl",
+      ( "record",
         [
-          Alcotest.test_case "atomic write round-trip" `Quick test_jsonl_roundtrip;
-          Alcotest.test_case "torn tail recovery" `Quick test_jsonl_torn_tail;
+          Alcotest.test_case "crc32 known answers" `Quick test_crc32_known_answers;
+          Alcotest.test_case "atomic write round-trip" `Quick test_record_roundtrip;
+          Alcotest.test_case "torn tail recovery" `Quick test_record_torn_tail;
           Alcotest.test_case "header mismatch / absent" `Quick
-            test_jsonl_header_mismatch_and_absent;
+            test_record_header_mismatch_and_absent;
         ] );
+      ( "durability",
+        List.map
+          (fun k -> QCheck_alcotest.to_alcotest (durability k))
+          [ checkpoint_kind; store_kind; log_kind; snapshot_kind ] );
       ( "wire",
         [
           Alcotest.test_case "chaos verdicts deterministic" `Quick

@@ -86,7 +86,7 @@ let test_jobs_invariance () =
         Alcotest.(check int)
           (Printf.sprintf "hits at --jobs %d" jobs)
           (D.size cold) warm_hits;
-        let path = Filename.temp_file "webdep_store_jobs" ".jsonl" in
+        let path = Filename.temp_file "webdep_store_jobs" ".store" in
         Store.save st path;
         let contents = In_channel.with_open_bin path In_channel.input_all in
         Sys.remove path;
@@ -109,7 +109,7 @@ let test_spill_roundtrip_and_invalidation () =
   let world = Lazy.force world in
   let st = Store.create ~fingerprint:(Measure.store_fingerprint world) () in
   ignore (Measure.measure_all ~countries:[ "US" ] ~store:st world);
-  let path = Filename.temp_file "webdep_store" ".jsonl" in
+  let path = Filename.temp_file "webdep_store" ".store" in
   Store.save st path;
   let reloaded = Store.load ~path ~fingerprint:(Measure.store_fingerprint world) in
   Alcotest.(check int) "size round-trips" (Store.size st) (Store.size reloaded);

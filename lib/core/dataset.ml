@@ -378,28 +378,25 @@ end
 (* Dense tally: one interned id per distinct (name, country) entity,
    counts in an int array indexed by id.  Avoids hashing a fresh string
    pair per site the way the old (string * string)-keyed Hashtbl did. *)
-type tally = {
-  syms : Symbol.t;
-  mutable entities : entity array; (* id -> entity *)
-  mutable counts : int array; (* id -> count *)
-}
-
-let tally_create () =
-  {
-    syms = Symbol.create ~size:256 ();
-    entities = Array.make 256 dummy_entity;
-    counts = Array.make 256 0;
+module Tally = struct
+  type t = {
+    syms : Symbol.t;
+    mutable entities : entity array; (* id -> entity *)
+    mutable counts : int array; (* id -> count *)
   }
 
-module Tally = struct
-  type nonrec t = tally
-
-  let create () = tally_create ()
+  let create () =
+    {
+      syms = Symbol.create ~size:256 ();
+      entities = Array.make 256 dummy_entity;
+      counts = Array.make 256 0;
+    }
 
   (* \x1f (unit separator) cannot appear in entity labels, so the joined
      key is injective on (name, country). *)
   let key e = e.name ^ "\x1f" ^ e.country
 
+  (* [true] iff the support set grew (count went 0 to 1). *)
   let add t e =
     let before = Symbol.count t.syms in
     let id = Symbol.intern t.syms (key e) in
@@ -416,6 +413,7 @@ module Tally = struct
     t.counts.(id) <- c + 1;
     c = 0
 
+  (* [true] iff the support set shrank (count went 1 to 0). *)
   let remove t e =
     match Symbol.find t.syms (key e) with
     | None -> invalid_arg "Dataset.Tally.remove: unknown entity"
@@ -436,34 +434,6 @@ module Tally = struct
     List.iter (fun s -> ignore (add_site t layer s)) sites;
     t
 
-  (* Re-interning in ascending id order reproduces the exact id
-     assignment, so the copy is indistinguishable from the original. *)
-  let copy t =
-    let n = Symbol.count t.syms in
-    let out = tally_create () in
-    for id = 0 to n - 1 do
-      let e = t.entities.(id) in
-      let id' = Symbol.intern out.syms (key e) in
-      if id' = Array.length out.counts then begin
-        let counts = Array.make (2 * id') 0 in
-        Array.blit out.counts 0 counts 0 id';
-        out.counts <- counts;
-        let entities = Array.make (2 * id') dummy_entity in
-        Array.blit out.entities 0 entities 0 id';
-        out.entities <- entities
-      end;
-      out.entities.(id') <- e;
-      out.counts.(id') <- t.counts.(id)
-    done;
-    out
-
-  let support t =
-    let n = ref 0 in
-    for id = 0 to Symbol.count t.syms - 1 do
-      if t.counts.(id) > 0 then incr n
-    done;
-    !n
-
   let counts t =
     let out = ref [] in
     for id = Symbol.count t.syms - 1 downto 0 do
@@ -475,14 +445,6 @@ module Tally = struct
     let cs = List.map snd (counts t) in
     if cs = [] then raise Not_found;
     Webdep_emd.Dist.of_positive_counts (Array.of_list cs)
-
-  let name_count t name =
-    let acc = ref 0 in
-    for id = 0 to Symbol.count t.syms - 1 do
-      if t.counts.(id) > 0 && String.equal t.entities.(id).name name then
-        acc := !acc + t.counts.(id)
-    done;
-    !acc
 
   let home_count t cc =
     let acc = ref 0 in

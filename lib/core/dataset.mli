@@ -121,38 +121,25 @@ end
     A tally is the int-array core of {!counts_by_entity}: one dense
     interned id per distinct (name, country) entity and a count per id.
     Because the canonical ordering ({!Tally.counts}) depends only on the
-    tallied multiset, a tally updated by {!Tally.add}/{!Tally.remove}
+    tallied multiset, a tally updated by {!Tally.add_site}/{!Tally.remove_site}
     under churn produces bit-identical distributions and scores to a
     cold re-tally of the updated site list — the foundation of the
     incremental-metrics path in [webdep_store]. *)
 module Tally : sig
-  type nonrec t
-
-  val create : unit -> t
+  type t
 
   val of_sites : site list -> layer -> t
   (** Tally the layer labels of [sites]; unlabelled sites are skipped. *)
 
-  val copy : t -> t
-  (** Independent deep copy (same ids, same counts). *)
-
-  val add : t -> entity -> bool
-  (** Count one more website for the entity.  Returns [true] iff the
-      support set grew (count went 0 to 1). *)
-
-  val remove : t -> entity -> bool
-  (** Count one fewer website.  Returns [true] iff the support set
-      shrank (count went 1 to 0).
-      @raise Invalid_argument if the entity's count is already zero. *)
-
   val add_site : t -> layer -> site -> bool
-  (** {!add} of the site's label in the layer; [false] when unlabelled. *)
+  (** Count one more website for the site's label in the layer.  Returns
+      [true] iff the support set grew (the label's count went 0 to 1);
+      [false] when unlabelled. *)
 
   val remove_site : t -> layer -> site -> bool
-  (** {!remove} of the site's label; [false] when unlabelled. *)
-
-  val support : t -> int
-  (** Number of entities with a positive count. *)
+  (** Count one fewer website for the site's label.  Returns [true] iff
+      the support set shrank (count went 1 to 0); [false] when unlabelled.
+      @raise Invalid_argument if the label's count is already zero. *)
 
   val counts : t -> (entity * int) list
   (** Canonical (entity, count) list — same order as
@@ -162,9 +149,6 @@ module Tally : sig
   val distribution : t -> Webdep_emd.Dist.t
   (** Distribution over {!counts}, bit-identical to {!distribution} on
       the equivalent site list.  @raise Not_found if empty. *)
-
-  val name_count : t -> string -> int
-  (** Total websites across entities with the given name. *)
 
   val home_count : t -> string -> int
   (** Total websites whose entity's home country is the given code (the

@@ -25,31 +25,6 @@ val compare :
     entity whose per-country share change is tracked (e.g.
     "Cloudflare"). *)
 
-type churn_stats = {
-  countries : int;  (** common countries compared *)
-  kept : int;  (** domains present in both snapshots *)
-  relabelled : int;  (** kept domains whose layer label changed *)
-  added : int;
-  removed : int;
-  support_changed_countries : int;
-      (** countries whose provider support set changed — the only ones
-          where an EMD formulation would need a full re-solve *)
-}
-
-val compare_incremental :
-  ?focus:string ->
-  old_ds:Dataset.t ->
-  new_ds:Dataset.t ->
-  Dataset.layer ->
-  comparison * churn_stats
-(** {!compare}, recomputing only churned sites: the new snapshot's
-    provider tallies are derived from the old ones by per-domain delta
-    (added/removed domains, plus kept domains whose label changed), and
-    scores are recomputed from the updated int-array tallies.  The
-    returned comparison is bit-identical to {!compare} on the same
-    inputs; the stats summarize how much churn the delta path
-    actually touched. *)
-
 val largest_increase : comparison -> country_delta
 val largest_decrease : comparison -> country_delta
 
@@ -64,8 +39,11 @@ val slope : float array -> float
     NaN entries (country absent from an epoch) are skipped, and fewer
     than two finite points yield [0.0]. *)
 
+val rank_order : (string * float) list -> (string * float) list
+(** The canonical ranking order, shared with the serve plane: score
+    descending, ties by country code. *)
+
 val rank_displacement : (string * float) list -> (string * float) list -> int
 (** Total absolute rank movement between two (country, score) rankings:
-    both are ordered score-descending (ties by country code, the same
-    order the serve plane uses) and the displacements of countries
+    both are put in {!rank_order} and the displacements of countries
     present in both are summed. *)

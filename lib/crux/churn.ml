@@ -1,15 +1,3 @@
-type diff = { kept : string list; added : string list; removed : string list }
-
-let diff old_t new_t =
-  let kept = ref [] and added = ref [] and removed = ref [] in
-  List.iter
-    (fun d -> if Toplist.mem old_t d then kept := d :: !kept else added := d :: !added)
-    (Toplist.domains new_t);
-  List.iter
-    (fun d -> if not (Toplist.mem new_t d) then removed := d :: !removed)
-    (Toplist.domains old_t);
-  { kept = List.rev !kept; added = List.rev !added; removed = List.rev !removed }
-
 let retention_for_jaccard j =
   if j < 0.0 || j > 1.0 then invalid_arg "Churn.retention_for_jaccard: j outside [0,1]";
   2.0 *. j /. (1.0 +. j)

@@ -7,16 +7,6 @@
     [J = k/(2−k)] exactly when replacements are fresh), replaces the rest
     with new domains, and locally perturbs ranks. *)
 
-type diff = { kept : string list; added : string list; removed : string list }
-(** Set difference between two snapshots of a country's toplist.  [kept]
-    and [added] preserve the new list's rank order; [removed] the old
-    list's. *)
-
-val diff : Toplist.t -> Toplist.t -> diff
-(** [diff old_t new_t] classifies every domain of both lists.  The
-    incremental-metrics path re-measures only [added] and untallies only
-    [removed]. *)
-
 val retention_for_jaccard : float -> float
 (** [retention_for_jaccard j] = 2j/(1+j).  @raise Invalid_argument if [j]
     outside [0, 1]. *)

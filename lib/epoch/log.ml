@@ -4,17 +4,20 @@
    On disk the log is a [Record] file — a JSON header, then entry
    records, each tagged by its first byte:
 
-     header            {"schema":"webdep-epoch/2","base":K,"meta":{...}}
-     0 base            country, sites                (one per country)
+     header            {"schema":"webdep-epoch/3","base":K,"countries":N,"meta":{...}}
+     0 base            country, sites                (one per country, N in all)
      1 churn           epoch, country, removed domains, added sites
      2 commit          epoch
 
    The baseline is the compacted head: every site of the base epoch, one
-   record per country.  Each later epoch is recorded as raw churn —
-   removed domains and fully-measured added sites — closed by a commit
-   marker.  Sites use the shared [Codec] block encoding (a per-record
-   string table, so every record stays self-contained and an appended
-   epoch needs nothing from earlier records).
+   record per country.  The header declares how many, so a file cut
+   inside its baseline — even exactly at a record boundary — is told
+   apart from a smaller world and rejected.  Each later epoch is
+   recorded as raw churn — removed domains and fully-measured added
+   sites — closed by a commit marker.  Sites use the shared [Codec]
+   block encoding (a per-record string table, so every record stays
+   self-contained and an appended epoch needs nothing from earlier
+   records).
 
    Crash safety mirrors the rest of the persistence plane: [create] and
    [write] go through [Record.write_atomic] (temp + fsync + rename), and
@@ -29,7 +32,7 @@ module D = Webdep.Dataset
 module Codec = Webdep_faults.Codec
 module Record = Webdep_faults.Record
 
-let schema = "webdep-epoch/2"
+let schema = "webdep-epoch/3"
 
 let m_appended = Webdep_obs.Metrics.counter "epoch.log.epochs_appended"
 let m_dropped = Webdep_obs.Metrics.counter "epoch.log.epochs_dropped"
@@ -50,10 +53,11 @@ type verdict = Absent | Mismatch of string | Loaded of t
 
 (* --- records ------------------------------------------------------------ *)
 
-let header ~meta ~base_epoch =
+let header ~meta ~base_epoch ~countries =
   Json.Obj
     [ ("schema", Json.String schema);
       ("base", Json.Int base_epoch);
+      ("countries", Json.Int countries);
       ("meta", Json.Obj meta) ]
 
 let record tag fill =
@@ -84,7 +88,7 @@ let epoch_records ev =
 
 let write ~path t =
   Record.write_atomic ~path
-    ~header:(header ~meta:t.meta ~base_epoch:t.base_epoch)
+    ~header:(header ~meta:t.meta ~base_epoch:t.base_epoch ~countries:(List.length t.base))
     (List.map base_record t.base @ List.concat_map epoch_records t.events)
 
 let create ~path ?(meta = []) ~base_epoch ~base () =
@@ -102,11 +106,13 @@ let append ~path ~epoch changes =
 (* --- loading ------------------------------------------------------------ *)
 
 (* Streaming fold state: the header, baseline countries so far
-   (reversed), committed events (reversed), and the churn records of the
-   epoch whose commit marker has not arrived yet. *)
+   (reversed) and how many the header still promises, committed events
+   (reversed), and the churn records of the epoch whose commit marker has
+   not arrived yet. *)
 type fstate = {
   meta : (string * Json.t) list;
   base_epoch : int;
+  mutable base_left : int;
   mutable base_rev : D.country_data list;
   mutable events_rev : event list;
   mutable pending : (int * churn list) option;  (* epoch, reversed changes *)
@@ -114,11 +120,13 @@ type fstate = {
 }
 
 let read_header v =
-  match (Json.member "schema" v, Json.member "base" v, Json.member "meta" v) with
-  | Some (Json.String s), _, _ when not (String.equal s schema) ->
+  let field k = Json.member k v in
+  match (field "schema", field "base", field "countries", field "meta") with
+  | Some (Json.String s), _, _, _ when not (String.equal s schema) ->
       Codec.fail "schema %s, want %s" s schema
-  | Some (Json.String _), Some (Json.Int base_epoch), Some (Json.Obj meta) ->
-      { meta; base_epoch; base_rev = []; events_rev = []; pending = None;
+  | Some (Json.String _), Some (Json.Int base_epoch), Some (Json.Int n), Some (Json.Obj meta)
+    when n >= 0 ->
+      { meta; base_epoch; base_left = n; base_rev = []; events_rev = []; pending = None;
         last = base_epoch }
   | _ -> Codec.fail "malformed header"
 
@@ -145,8 +153,10 @@ let decode payload =
 let apply st payload =
   (match decode payload with
   | Base cd ->
-      if st.pending <> None || st.events_rev <> [] then Codec.fail "baseline after churn";
+      if st.base_left = 0 then Codec.fail "more baseline records than the header declares";
+      st.base_left <- st.base_left - 1;
       st.base_rev <- cd :: st.base_rev
+  | (Churn _ | Commit _) when st.base_left > 0 -> Codec.fail "churn inside the baseline"
   | Churn (epoch, churn) -> (
       match st.pending with
       | Some (e, acc) when e = epoch -> st.pending <- Some (e, churn :: acc)
@@ -172,6 +182,13 @@ let load ~path =
   match Record.fold ~path ~header:read_header ~f:apply with
   | Record.Absent -> Absent
   | Record.Rejected msg -> Mismatch msg
+  | Record.Folded { acc = st; _ } when st.base_left > 0 ->
+      (* Epochs replay on top of the whole baseline: a partial one would
+         read as a smaller world. *)
+      Mismatch
+        (Printf.sprintf "baseline cut: %d of %d countries"
+           (List.length st.base_rev)
+           (List.length st.base_rev + st.base_left))
   | Record.Folded { acc = st; torn } ->
       (* An uncommitted trailing epoch (the writer died between its churn
          records and its commit marker) is dropped exactly like a torn

@@ -3,7 +3,7 @@
     per-epoch churn records, each epoch closed by a commit marker.
 
     The on-disk format is a {!Webdep_faults.Record} file (schema
-    [webdep-epoch/2]) sharing the crash-safety machinery of the other
+    [webdep-epoch/3]) sharing the crash-safety machinery of the other
     durable files: whole-file writes are atomic (temp + fsync + rename),
     appends are epoch-at-a-time with the commit marker last, and
     {!load} recovers from a torn or corrupted record and from a
@@ -52,5 +52,6 @@ val write : path:string -> t -> unit
 
 val load : path:string -> verdict
 (** Parse the log back, keeping the longest committed prefix.  [Mismatch]
-    reports a foreign or unreadable header;  [dropped] on the loaded log
-    flags recovered-over damage. *)
+    reports a foreign or unreadable header, or a baseline with fewer
+    countries than the header declares (a cut inside the baseline);
+    [dropped] on the loaded log flags recovered-over damage. *)

@@ -116,12 +116,6 @@ let shares_response inc country k =
                  share = float_of_int n /. total }))
   | exception Not_found -> P.Error (Printf.sprintf "no data for country %s" country)
 
-let rank_sorted scored =
-  List.sort
-    (fun (cc1, s1) (cc2, s2) ->
-      match Float.compare s2 s1 with 0 -> String.compare cc1 cc2 | c -> c)
-    scored
-
 (* One country's full score row under either epoch representation. *)
 let row_of t epoch layer country =
   match epoch_state t epoch with
@@ -188,7 +182,7 @@ let ranking_response t epoch layer k =
       in
       match scored with
       | None -> P.Error (Printf.sprintf "layer not loaded for epoch %s" epoch)
-      | Some scored -> P.Ranks (take k (rank_sorted scored)))
+      | Some scored -> P.Ranks (take k (Webdep.Longitudinal.rank_order scored)))
 
 let delta_response t layer country ~old_epoch ~new_epoch =
   match (row_of t old_epoch layer country, row_of t new_epoch layer country) with

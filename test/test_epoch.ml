@@ -17,6 +17,11 @@ let test_countries = [ "US"; "DE"; "JP"; "BR" ]
 
 let float_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
+(* Two (country, score) lists agree in order and to the last bit. *)
+let check_scores what a b =
+  let bits = List.map (fun (cc, s) -> (cc, Int64.bits_of_float s)) in
+  Alcotest.(check (list (pair string int64))) what (bits a) (bits b)
+
 (* One small measured world: the 2023 sweep seeds baselines, the 2025
    sweep donates replacement sites. *)
 let fixture =
@@ -75,23 +80,11 @@ let replay_matches_cold log =
          let ds = D.of_country_data (Replay.materialize r) in
          List.iter
            (fun layer ->
-             let warm = by_cc (Replay.scores r layer) in
-             let cold = by_cc (Webdep.Metrics.all_scores ds layer) in
-             if List.length warm <> List.length cold then
-               Alcotest.failf "epoch %d: %d warm vs %d cold countries"
-                 (Replay.epoch r) (List.length warm) (List.length cold);
-             List.iter2
-               (fun (wc, ws) (cc, cs) ->
-                 if not (String.equal wc cc && float_eq ws cs) then
-                   Alcotest.failf "epoch %d %s: warm %s=%.17g, cold %s=%.17g"
-                     (Replay.epoch r)
-                     (match layer with
-                     | D.Hosting -> "hosting"
-                     | D.Dns -> "dns"
-                     | D.Ca -> "ca"
-                     | D.Tld -> "tld")
-                     wc ws cc cs)
-               warm cold;
+             check_scores
+               (Printf.sprintf "epoch %d %s: warm = cold" (Replay.epoch r)
+                  (Webdep_reference.Paper_scores.layer_name layer))
+               (by_cc (Webdep.Metrics.all_scores ds layer))
+               (by_cc (Replay.scores r layer));
              incr checked)
            layers)
        log);
@@ -148,15 +141,7 @@ let test_jobs_invariance () =
       let reference = Replay.scores ~jobs:1 r layer in
       List.iter
         (fun jobs ->
-          let got = Replay.scores ~jobs r layer in
-          Alcotest.(check int)
-            (Printf.sprintf "jobs %d: same countries" jobs)
-            (List.length reference) (List.length got);
-          List.iter2
-            (fun (c1, s1) (c2, s2) ->
-              Alcotest.(check string) "country order" c1 c2;
-              Alcotest.(check bool) "score bits" true (float_eq s1 s2))
-            reference got)
+          check_scores (Printf.sprintf "jobs %d" jobs) reference (Replay.scores ~jobs r layer))
         [ 2; 4 ])
     layers
 
@@ -201,15 +186,19 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path data =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
 
-(* The file's bytes and the start offset of its last record, walking the
+(* The end offset of every record of [data], header first, walking the
    [u32 len][u32 crc][payload] frames. *)
+let rec record_ends ?(off = 0) data =
+  if off >= String.length data then []
+  else
+    let next = off + 8 + (Int32.to_int (String.get_int32_be data off) land 0xFFFF_FFFF) in
+    next :: record_ends ~off:next data
+
+(* The file's bytes and the start offset of its last record. *)
 let last_record path =
   let data = read_file path in
-  let rec go off =
-    let next = off + 8 + (Int32.to_int (String.get_int32_be data off) land 0xFFFF_FFFF) in
-    if next >= String.length data then off else go next
-  in
-  (data, go 0)
+  let ends = record_ends data in
+  (data, List.nth ends (List.length ends - 2))
 
 let test_torn_tail_recovery () =
   let path = build_log (make_events ~seed:8 ~fraction:0.1 ~epochs:3) in
@@ -240,19 +229,42 @@ let test_uncommitted_epoch_dropped () =
   Alcotest.(check int) "re-append" 3 (load_exn path).Log.head;
   Sys.remove path
 
+(* A cut inside the baseline — at a record boundary or mid-record — must
+   not load as a smaller world: the header declares the country count. *)
+let test_baseline_cut () =
+  let path = build_log (make_events ~seed:8 ~fraction:0.1 ~epochs:2) in
+  let data = read_file path in
+  (* Record ends: the header's, then one per baseline country. *)
+  let ends = Array.of_list (record_ends data) and n = List.length test_countries in
+  let mid k = (ends.(k) + ends.(k + 1)) / 2 in
+  List.iter
+    (fun cut ->
+      write_file path (String.sub data 0 cut);
+      match Log.load ~path with
+      | Log.Mismatch m ->
+          Alcotest.(check bool) m true (String.starts_with ~prefix:"baseline cut" m)
+      | _ -> Alcotest.failf "cut at byte %d inside the baseline must mismatch" cut)
+    (List.init n (Array.get ends) @ List.init n mid);
+  (* The end of the baseline is a committed state: the epoch-less log. *)
+  write_file path (String.sub data 0 ends.(n));
+  let log = load_exn path in
+  Alcotest.(check (pair int bool)) "whole baseline, nothing dropped" (n, false)
+    (List.length log.Log.base, log.Log.dropped);
+  Sys.remove path
+
 let test_load_rejects () =
   let path = temp_log () in
   Alcotest.(check bool) "absent" true (Log.load ~path = Log.Absent);
   Webdep_faults.Record.write_atomic ~path
     ~header:
       (Webdep_json.Obj
-         [ ("schema", Webdep_json.String "other/1");
+         [ ("schema", Webdep_json.String "webdep-epoch/2");
            ("base", Webdep_json.Int 0);
            ("meta", Webdep_json.Obj []) ])
     [];
   (match Log.load ~path with
   | Log.Mismatch m ->
-      Alcotest.(check string) "schema named" "schema other/1, want webdep-epoch/2" m
+      Alcotest.(check string) "schema named" "schema webdep-epoch/2, want webdep-epoch/3" m
   | _ -> Alcotest.fail "foreign schema must mismatch");
   Out_channel.with_open_bin path (fun oc ->
       Webdep_faults.Record.output oc "not json at all");
@@ -289,12 +301,7 @@ let test_compaction_bit_identity () =
     (Replay.materialize r_raw = Replay.materialize r_cmp);
   List.iter
     (fun layer ->
-      List.iter2
-        (fun (c1, s1) (c2, s2) ->
-          Alcotest.(check string) "country" c1 c2;
-          Alcotest.(check bool) "score bits" true (float_eq s1 s2))
-        (Replay.scores r_raw layer)
-        (Replay.scores r_cmp layer))
+      check_scores "compacted = raw" (Replay.scores r_raw layer) (Replay.scores r_cmp layer))
     layers;
   (* Compacting below the current base is a no-op. *)
   let noop = Replay.compact reloaded ~keep_last:10 in
@@ -377,7 +384,9 @@ let test_slope_and_displacement () =
   Alcotest.(check int) "no churn" 0
     (L.rank_displacement [ ("A", 2.0); ("B", 1.0) ] [ ("A", 5.0); ("B", 4.0) ]);
   Alcotest.(check int) "swap costs two" 2
-    (L.rank_displacement [ ("A", 2.0); ("B", 1.0) ] [ ("A", 1.0); ("B", 2.0) ])
+    (L.rank_displacement [ ("A", 2.0); ("B", 1.0) ] [ ("A", 1.0); ("B", 2.0) ]);
+  Alcotest.(check (list string)) "score descending, ties by code" [ "C"; "A"; "B" ]
+    (List.map fst (L.rank_order [ ("B", 1.0); ("C", 3.0); ("A", 1.0) ]))
 
 (* --- suite ------------------------------------------------------------------ *)
 
@@ -400,6 +409,7 @@ let () =
           Alcotest.test_case "torn tail recovery" `Quick test_torn_tail_recovery;
           Alcotest.test_case "uncommitted epoch dropped" `Quick
             test_uncommitted_epoch_dropped;
+          Alcotest.test_case "baseline cut rejected" `Quick test_baseline_cut;
           Alcotest.test_case "rejects" `Quick test_load_rejects;
         ] );
       ( "compaction",

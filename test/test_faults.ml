@@ -516,10 +516,10 @@ let test_record_header_mismatch_and_absent () =
    truncate the file at a random byte or flip one random byte.  The
    loader must return a prefix of the written entries — never a changed
    one — and flag the damage.  The only damage allowed to go unflagged
-   is a cut exactly at a record boundary of an append-style file, which
-   is indistinguishable from a file that simply holds fewer entries; the
-   snapshot's header declares its shard count, so even that is flagged
-   there. *)
+   is a cut that leaves a file indistinguishable from one that simply
+   holds fewer entries: any record boundary of the checkpoint and the
+   store spill, only a commit point of the epoch log, none at all of the
+   snapshot (its header declares the shard count). *)
 
 module Store = Webdep_store.Store
 module Log = Webdep_epoch.Log
@@ -546,7 +546,8 @@ type kind = {
   name : string;
   write : string -> unit;  (** write the pristine file *)
   check : string -> bool * bool;  (** reload: (intact prefix, damage flagged) *)
-  counted : bool;  (** the header declares the entry count *)
+  clean_cuts : string -> int list;
+      (** offsets of the pristine file where a cut may go unflagged *)
 }
 
 let checkpoint_kind =
@@ -563,7 +564,7 @@ let checkpoint_kind =
   in
   {
     name = "checkpoint";
-    counted = false;
+    clean_cuts = record_ends;
     write =
       (fun path ->
         let cp = Checkpoint.open_ ~path ~meta in
@@ -606,7 +607,7 @@ let store_kind =
   in
   {
     name = "store spill";
-    counted = false;
+    clean_cuts = record_ends;
     write =
       (fun path ->
         let fingerprint, items = Lazy.force entries in
@@ -638,24 +639,29 @@ let log_kind =
        in
        (base, Synth.generate ~seed:3 ~fraction:0.1 ~epochs:3 ~base_epoch:0 ~base ~donors))
   in
+  (* File sizes after the baseline and after each commit: the only cuts
+     that leave a whole committed log. *)
+  let committed = ref [] in
   {
     name = "epoch log";
-    counted = false;
+    clean_cuts = (fun _ -> !committed);
     write =
       (fun path ->
         let base, events = Lazy.force inputs in
+        let mark () = committed := String.length (read_file path) :: !committed in
         Log.create ~path ~base_epoch:0 ~base ();
+        mark ();
         List.iter
-          (fun (ev : Log.event) -> Log.append ~path ~epoch:ev.Log.epoch ev.Log.changes)
+          (fun (ev : Log.event) ->
+            Log.append ~path ~epoch:ev.Log.epoch ev.Log.changes;
+            mark ())
           events);
     check =
       (fun path ->
         let base, events = Lazy.force inputs in
         match Log.load ~path with
         | Log.Loaded l ->
-            ( is_prefix l.Log.base base
-              && (l.Log.events = [] || l.Log.base = base)
-              && is_prefix l.Log.events events,
+            ( l.Log.base = base && is_prefix l.Log.events events,
               l.Log.dropped )
         | Log.Mismatch _ -> (true, true)
         | Log.Absent -> (false, false));
@@ -676,7 +682,7 @@ let snapshot_kind =
   let countries () = D.countries (snd (List.hd (Lazy.force datasets))) in
   {
     name = "serve snapshot";
-    counted = true;
+    clean_cuts = (fun _ -> []);
     write = (fun path -> Snapshot.save ~path ~fingerprint:"durability" (Lazy.force datasets));
     check =
       (fun path ->
@@ -711,7 +717,7 @@ let durability kind =
       write_file path damaged;
       let prefix, flagged = kind.check path in
       Sys.remove path;
-      let boundary = truncate && (not kind.counted) && List.mem at (record_ends data) in
+      let boundary = truncate && List.mem at (kind.clean_cuts data) in
       prefix && (flagged || boundary))
 
 (* --- wire chaos verdicts -------------------------------------------------- *)

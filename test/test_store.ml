@@ -132,25 +132,6 @@ let test_spill_roundtrip_and_invalidation () =
   let missing = Store.load ~path ~fingerprint:(Measure.store_fingerprint world) in
   Alcotest.(check int) "missing file loads empty" 0 (Store.size missing)
 
-(* --- incremental comparison ---------------------------------------------- *)
-
-let test_compare_incremental_identical () =
-  let old_ds = Lazy.force ds23 and new_ds = Lazy.force ds25 in
-  let full = Webdep.Longitudinal.compare ~focus:"Cloudflare" ~old_ds ~new_ds Hosting in
-  let incr, stats =
-    Webdep.Longitudinal.compare_incremental ~focus:"Cloudflare" ~old_ds ~new_ds Hosting
-  in
-  Alcotest.(check bool) "incremental comparison bit-identical to full" true (full = incr);
-  Alcotest.(check int) "all common countries compared" (List.length sample)
-    stats.Webdep.Longitudinal.countries;
-  (* Every new-snapshot site is either kept or added; every old one kept
-     or removed. *)
-  let total ds = D.size ds in
-  Alcotest.(check int) "kept + added covers the new snapshot" (total new_ds)
-    (stats.Webdep.Longitudinal.kept + stats.Webdep.Longitudinal.added);
-  Alcotest.(check int) "kept + removed covers the old snapshot" (total old_ds)
-    (stats.Webdep.Longitudinal.kept + stats.Webdep.Longitudinal.removed)
-
 (* --- incremental metrics under random churn ------------------------------ *)
 
 (* Random churn: per country, remove a random subset of the 2023 sites
@@ -265,8 +246,6 @@ let () =
         ] );
       ( "incremental",
         [
-          Alcotest.test_case "compare_incremental = compare" `Quick
-            test_compare_incremental_identical;
           QCheck_alcotest.to_alcotest churn_qcheck;
           Alcotest.test_case "cache/incremental/full-solve counters" `Quick
             test_incremental_cache_counters;

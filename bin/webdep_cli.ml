@@ -1167,10 +1167,24 @@ let countries_cmd =
 let () =
   let doc = "quantify centralization and regionalization of web infrastructure" in
   let info = Cmd.info "webdep" ~version:"1.0.0" ~doc in
+  let cmd =
+    Cmd.group info
+      [ scores_cmd; report_cmd; insularity_cmd; classify_cmd; usage_cmd;
+        longitudinal_cmd; validate_cmd; paper_cmd; countries_cmd; export_cmd;
+        language_cmd; redundancy_cmd; tld_cmd; report_md_cmd; profile_cmd;
+        scale_cmd; serve_cmd; query_cmd; epochs_cmd ]
+  in
+  (* A -c too small to calibrate some mix is a usage error like a bad
+     --jobs: one line, exit 124.  Anything else is reported the way
+     cmdliner reports an internal error. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ scores_cmd; report_cmd; insularity_cmd; classify_cmd; usage_cmd;
-            longitudinal_cmd; validate_cmd; paper_cmd; countries_cmd; export_cmd;
-            language_cmd; redundancy_cmd; tld_cmd; report_md_cmd; profile_cmd;
-            scale_cmd; serve_cmd; query_cmd; epochs_cmd ]))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception World.Uncalibratable msg ->
+        Printf.eprintf "webdep: %s; use a larger -c\n" msg;
+        124
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Printf.eprintf "webdep: internal error, uncaught exception:\n%s\n%s%!"
+          (Printexc.to_string e) (Printexc.raw_backtrace_to_string bt);
+        Cmd.Exit.internal_error)

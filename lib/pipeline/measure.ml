@@ -402,12 +402,14 @@ let measure_sweep ?vantage ?resolution ?cache ?epoch ?countries ?jobs
             countries
       | Some _ | None -> ());
       (* Fix every shared-state registration (ASN/prefix allocation,
-         geolocation draws, CA issuers) in canonical sequential order
-         before fanning out, so the per-country sweeps are read-only on
-         the world and the dataset is bit-identical at any [jobs].  Only
-         countries the store cannot fully serve need it. *)
+         geolocation draws, CA issuers) in canonical order before
+         fanning out, so the per-country sweeps are read-only on the
+         world and the dataset is bit-identical at any [jobs].  [prepare]
+         derives the countries on the same pool and replays only their
+         registrations sequentially.  Only countries the store cannot
+         fully serve need it. *)
       let cold = List.filter (fun cc -> not (Hashtbl.mem warm cc)) countries in
-      World.prepare world ?epoch cold;
+      World.prepare world ?epoch ?jobs cold;
       let cp =
         Option.map
           (fun path ->

@@ -162,6 +162,33 @@ let fine_tune ~c ~target ~tolerance counts =
   Array.sort (fun a b -> compare b a) final;
   final
 
+(* A size histogram with a cursor on the smallest size >= 2: splitting k
+   leaves k-1 as the new smallest (or, at k = 2, the cursor in place), so
+   each split is O(1) and the cursor only climbs past empty sizes. *)
+let split_buckets ~n counts =
+  let top = Array.fold_left max 0 counts in
+  let hist = Array.make (top + 1) 0 in
+  Array.iter (fun k -> if k > 0 then hist.(k) <- hist.(k) + 1) counts;
+  let length = ref (Array.fold_left ( + ) 0 hist) in
+  let k = ref 2 in
+  while !length < n && !k <= top do
+    if hist.(!k) = 0 then incr k
+    else begin
+      hist.(!k) <- hist.(!k) - 1;
+      hist.(!k - 1) <- hist.(!k - 1) + 1;
+      hist.(1) <- hist.(1) + 1;
+      incr length;
+      if !k > 2 then decr k
+    end
+  done;
+  let out = Array.make !length 0 in
+  let i = ref 0 in
+  for v = top downto 1 do
+    Array.fill out !i hist.(v) v;
+    i := !i + hist.(v)
+  done;
+  out
+
 let counts ?(tolerance = 5e-5) ?top_share ?second_share ?(pinned = []) ~c ~n_providers
     ~target () =
   if c <= 0 then invalid_arg "Calibrate.counts: c must be positive";
@@ -181,34 +208,9 @@ let counts ?(tolerance = 5e-5) ?top_share ?second_share ?(pinned = []) ~c ~n_pro
     pinned;
   let share_vec = shares ~top_share ~second_share ~pinned ~n_providers ~hhi_target in
   let rounded = Webdep_stats.Sample.round_shares ~total:c share_vec in
-  let positive = Array.of_list (List.filter (fun k -> k > 0) (Array.to_list rounded)) in
   (* Rounding can zero out the far tail; restore the requested provider
-     count by splitting the smallest >=2 bucket into (k-1, 1) — each split
-     changes HHI by only 2(1-k)/c^2, so the score barely moves. *)
-  let positive =
-    let buckets = ref (List.sort compare (Array.to_list positive)) in
-    let length = ref (List.length !buckets) in
-    let exhausted = ref false in
-    while !length < n_providers && not !exhausted do
-      match List.find_opt (fun k -> k >= 2) !buckets with
-      | None -> exhausted := true
-      | Some k ->
-          let removed = ref false in
-          buckets :=
-            1 :: (k - 1)
-            :: List.filter
-                 (fun x ->
-                   if (not !removed) && x = k then begin
-                     removed := true;
-                     false
-                   end
-                   else true)
-                 !buckets;
-          buckets := List.filter (fun x -> x > 0) !buckets;
-          buckets := List.sort compare !buckets;
-          incr length
-    done;
-    Array.of_list (List.rev !buckets)
-  in
-  let counts = fine_tune ~c ~target ~tolerance positive in
+     count by splitting — each split changes HHI by only 2(1-k)/c^2, so
+     the score barely moves. *)
+  let split = split_buckets ~n:n_providers rounded in
+  let counts = fine_tune ~c ~target ~tolerance split in
   { counts; achieved = score_of_counts counts }

@@ -40,5 +40,12 @@ val counts :
            [n_providers > c], or the target is outside the attainable
            range [(1/n − 1/c, 1 − 1/c)]. *)
 
+val split_buckets : n:int -> int array -> int array
+(** [split_buckets ~n counts] restores a provider count lost to integer
+    rounding: while fewer than [n] buckets remain, the smallest bucket
+    [k >= 2] becomes the pair [(k-1, 1)].  Nonpositive entries are
+    dropped; the result is nonincreasing with the same sum.  Linear in
+    the number of buckets, the largest bucket and the splits. *)
+
 val score_of_counts : int array -> float
 (** 𝒮 of a counts vector (convenience re-export). *)

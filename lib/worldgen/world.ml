@@ -93,28 +93,48 @@ let hosting_overrides_2025 cc =
       let target = Float.max floor_s (old_target +. jitter) in
       { Mix.target = Some target; top_share = Some (old_top +. 0.038); home_quota = None }
 
+exception Uncalibratable of string
+
+(* [Mix.build] is pure, so it runs outside the lock: concurrent misses on
+   one key each build, and the first insert wins.  Only that insert
+   counts as a miss (a losing builder counts a hit), so the counters
+   equal the sequential path's at any lane count. *)
 let mix t ?(epoch = May_2023) layer cc =
   let epoch_key =
     match (epoch, (layer : Profiles.layer)) with May_2025, Hosting -> "25" | _ -> "23"
   in
-  let key =
-    Printf.sprintf "%s/%s/%s" epoch_key (Webdep_reference.Paper_scores.layer_name layer) cc
+  let layer_name = Webdep_reference.Paper_scores.layer_name layer in
+  let key = Printf.sprintf "%s/%s/%s" epoch_key layer_name cc in
+  let cached () =
+    Option.map
+      (fun m ->
+        Webdep_obs.Metrics.incr m_mix_hits;
+        m)
+      (Hashtbl.find_opt t.mixes key)
   in
-  Mutex.protect t.lock @@ fun () ->
-  match Hashtbl.find_opt t.mixes key with
-  | Some m ->
-      Webdep_obs.Metrics.incr m_mix_hits;
-      m
-  | None ->
-      Webdep_obs.Metrics.incr m_mix_misses;
+  match Mutex.protect t.lock cached with
+  | Some m -> m
+  | None -> (
       let overrides =
         match (epoch, (layer : Profiles.layer)) with
         | May_2025, Hosting -> hosting_overrides_2025 cc
         | _ -> Mix.no_overrides
       in
-      let m = Mix.build ~c:t.c ~overrides layer cc in
-      Hashtbl.replace t.mixes key m;
-      m
+      let m =
+        try Mix.build ~c:t.c ~overrides layer cc
+        with Invalid_argument reason ->
+          raise
+            (Uncalibratable
+               (Printf.sprintf "cannot calibrate the %s mix of %s (epoch %s) at c=%d: %s"
+                  layer_name cc (epoch_name epoch) t.c reason))
+      in
+      Mutex.protect t.lock @@ fun () ->
+      match cached () with
+      | Some m -> m
+      | None ->
+          Webdep_obs.Metrics.incr m_mix_misses;
+          Hashtbl.replace t.mixes key m;
+          m)
 
 (* --- Network registration ------------------------------------------- *)
 
@@ -290,42 +310,62 @@ let alt_provider h domain =
        else Registry.amazon)
   else None
 
+(* One shared-state registration a country sweep triggers. *)
+type registration = Network of Provider.t | Ca_owner of Provider.t
+
+(* The country's first-seen registrations in site order — hosting net,
+   DNS net, CA owner, multi-CDN alt — deduplicated per country exactly
+   as [sweep_registrars] deduplicates a snapshot's calls.  Touches no
+   registration state, so countries may be derived on any domain. *)
+let registrations t ~epoch cc =
+  let toplist, hosting, dns, ca = layer_assignments t ~epoch (snap_rng t epoch cc) cc in
+  let nets = Hashtbl.create 64 and cas = Hashtbl.create 64 in
+  let acc = ref [] in
+  let first seen p =
+    let fresh = not (Hashtbl.mem seen p.Provider.name) in
+    if fresh then Hashtbl.replace seen p.Provider.name ();
+    fresh
+  in
+  let net p = if first nets p then acc := Network p :: !acc in
+  List.iteri
+    (fun i domain ->
+      let h = hosting.(i) in
+      net h;
+      net dns.(i);
+      if first cas ca.(i) then acc := Ca_owner ca.(i) :: !acc;
+      Option.iter net (alt_provider h domain))
+    (Toplist.domains toplist);
+  List.rev !acc
+
 (* Perform every shared-state registration a country sweep triggers —
    network/ASN/prefix allocation, geolocation draws, CA issuers — in the
-   exact order [snapshot] would, site by site.  After [prepare], taking
-   the same snapshots (from any domain, in any order) only performs
-   lookups on shared state, so parallel measurement sweeps produce
-   bit-identical worlds to the sequential path. *)
-let prepare t ?(epoch = May_2023) ccs =
-  List.iter
-    (fun cc ->
-      if Webdep_geo.Country.mem cc then begin
-        let key = epoch_name epoch ^ "/" ^ cc in
-        let fresh =
-          Mutex.protect t.lock (fun () ->
-              if Hashtbl.mem t.prepared key then false
-              else begin
-                Hashtbl.replace t.prepared key ();
-                true
-              end)
-        in
-        if fresh then begin
-          let rng = snap_rng t epoch cc in
-          let toplist, hosting, dns, ca = layer_assignments t ~epoch rng cc in
-          let register, ensure_ca = sweep_registrars t in
-          List.iteri
-            (fun i domain ->
-              let h = hosting.(i) and d = dns.(i) and a = ca.(i) in
-              ignore (register h);
-              ignore (register d);
-              ensure_ca a;
-              match alt_provider h domain with
-              | Some alt_p -> ignore (register alt_p)
-              | None -> ())
-            (Toplist.domains toplist)
-        end
-      end)
-    ccs
+   exact order [snapshot] would, site by site.  The expensive part (mix
+   calibration, toplists, layer assignments) is pure per country and
+   runs on the pool; only the registration lists are replayed here, in
+   input order.  After [prepare], taking the same snapshots (from any
+   domain, in any order) only performs lookups on shared state, so
+   parallel measurement sweeps produce bit-identical worlds to the
+   sequential path. *)
+let prepare t ?(epoch = May_2023) ?jobs ccs =
+  let key cc = epoch_name epoch ^ "/" ^ cc in
+  (* A country listed twice replays twice; the second replay registers
+     nothing new. *)
+  let fresh =
+    Mutex.protect t.lock (fun () ->
+        List.filter
+          (fun cc -> Webdep_geo.Country.mem cc && not (Hashtbl.mem t.prepared (key cc)))
+          ccs)
+  in
+  let regs = Webdep_par.map ?jobs (registrations t ~epoch) fresh in
+  List.iter2
+    (fun cc rs ->
+      List.iter
+        (function
+          | Network p -> ignore (register_provider t p)
+          | Ca_owner p -> ensure_ca_registered t p)
+        rs;
+      Mutex.protect t.lock (fun () -> Hashtbl.replace t.prepared (key cc) ()))
+    fresh regs
 
 (* The country's toplist alone — the same derivation [layer_assignments]
    performs, without materializing zones, certificates or registrations.

@@ -41,8 +41,17 @@ val countries : t -> string list
 val internet : t -> Webdep_netsim.Internet.t
 val ca_db : t -> Webdep_tlssim.Ca.t
 
+exception Uncalibratable of string
+(** A mix cannot be calibrated at the world's [c] (too few sites for the
+    country's provider count or target score).  The message names the
+    layer, country, epoch and [c]. *)
+
 val mix : t -> ?epoch:epoch -> Profiles.layer -> string -> Mix.t
-(** Cached calibrated mix for a country and layer. *)
+(** Cached calibrated mix for a country and layer.  Safe to call from
+    several domains: the mix is built outside the world lock and the
+    first insert wins, so the [worldgen.mix.*] counters do not depend on
+    scheduling.
+    @raise Uncalibratable when the world's [c] is too small for it. *)
 
 type snapshot = {
   country : string;
@@ -59,16 +68,26 @@ type snapshot = {
           provider's home country per {!Language} *)
 }
 
-val prepare : t -> ?epoch:epoch -> string list -> unit
-(** Perform, in canonical sequential order, every shared-state mutation
-    the given countries' snapshots would trigger: network registration
-    (ASN and prefix allocation, geolocation-error draws) and CA issuer
-    registration.  After [prepare], {!snapshot} for those countries
-    touches shared state read-only, so snapshots may be taken
-    concurrently from several domains — and, because the registration
-    order is fixed here rather than by measurement scheduling, the
-    resulting worlds are bit-identical to a fully sequential run.
-    Idempotent per (epoch, country); safe to call repeatedly. *)
+val prepare : t -> ?epoch:epoch -> ?jobs:int -> string list -> unit
+(** Perform every shared-state mutation the given countries' snapshots
+    would trigger: network registration (ASN and prefix allocation,
+    geolocation-error draws) and CA issuer registration.  Two phases:
+
+    + on the {!Webdep_par} pool ([?jobs] lanes; [None] = the configured
+      count, [1] = the sequential path), each country's mixes, toplist
+      and layer assignments are derived — pure per country — into its
+      ordered list of first-seen registrations;
+    + on the calling domain, the lists are replayed country by country
+      in input order, each site's registrations in site order.
+
+    So the registration order is still canonical: the one a fully
+    sequential run of the same snapshots would produce, at any [?jobs].
+    After [prepare], {!snapshot} for those countries touches shared
+    state read-only, so snapshots may be taken concurrently from several
+    domains and the resulting worlds are bit-identical to a sequential
+    run.  Idempotent per (epoch, country); safe to call repeatedly.
+    @raise Uncalibratable like {!mix}; no country of the call is then
+    registered. *)
 
 val toplist : t -> ?epoch:epoch -> string -> Webdep_crux.Toplist.t
 (** The country's toplist exactly as its {!snapshot} would carry it,

@@ -9,6 +9,10 @@ module Metrics = Webdep_obs.Metrics
 module World = Webdep_worldgen.World
 module Measure = Webdep_pipeline.Measure
 module D = Webdep.Dataset
+module Provider = Webdep_worldgen.Provider
+module Internet = Webdep_netsim.Internet
+module Ipv4 = Webdep_netsim.Ipv4
+module Ca = Webdep_tlssim.Ca
 
 let check = Alcotest.check
 
@@ -196,6 +200,78 @@ let test_prepare_then_snapshot_matches_direct () =
       Alcotest.(check bool) ("assigned " ^ d) true (get direct = get prepared))
     (domains direct)
 
+let test_prepare_registration_order_jobs_invariant () =
+  (* [prepare] derives countries on the pool but must replay their
+     registrations in canonical order: every network (ASN, pops,
+     prefixes, their geolocation) and every CA issuer of the whole
+     150-country world must come out the same at jobs 1 and 4.  A
+     cross-country ordering slip shows up here even when each country's
+     own measurement would not notice it. *)
+  let mix_counters () =
+    ( Metrics.value (Metrics.counter "worldgen.mix.cache_hits"),
+      Metrics.value (Metrics.counter "worldgen.mix.cache_misses") )
+  in
+  let prepared epoch jobs =
+    let w = World.create ~c:120 ~seed:19 () in
+    let h0, m0 = mix_counters () in
+    World.prepare w ~epoch ~jobs (World.countries w);
+    let h1, m1 = mix_counters () in
+    (w, (h1 - h0, m1 - m0))
+  in
+  let network w (p : Provider.t) =
+    Option.map
+      (fun (n : Internet.network) ->
+        ( n.Internet.asn,
+          List.map
+            (fun (cc, pfx) ->
+              ( cc,
+                Ipv4.prefix_to_string pfx,
+                Internet.geolocate (World.internet w) (Ipv4.nth_addr pfx 0) ))
+            n.Internet.pops ))
+      (Internet.find_network (World.internet w) p.Provider.name)
+  in
+  let issuers w (p : Provider.t) =
+    List.map
+      (fun k ->
+        Ca.owner_of_issuer (World.ca_db w)
+          (Printf.sprintf "%s Issuing CA R%d" p.Provider.name k))
+      [ 1; 2 ]
+  in
+  List.iter
+    (fun epoch ->
+      let name = World.epoch_name epoch in
+      let w1, d1 = prepared epoch 1 in
+      let w4, d4 = prepared epoch 4 in
+      check Alcotest.(pair int int) (name ^ " mix counter deltas") d1 d4;
+      List.iter
+        (fun cc ->
+          List.iter
+            (fun (layer : Webdep_worldgen.Profiles.layer) ->
+              List.iter
+                (fun ((p : Provider.t), _) ->
+                  let same =
+                    match layer with
+                    | Hosting | Dns ->
+                        let n1 = network w1 p in
+                        n1 <> None && n1 = network w4 p
+                    | Ca | Tld -> issuers w1 p = issuers w4 p
+                  in
+                  if not same then
+                    Alcotest.failf "%s %s %s: %s registration differs across jobs" name cc
+                      p.Provider.name
+                      (Webdep_reference.Paper_scores.layer_name layer))
+                (World.mix w1 ~epoch layer cc).Webdep_worldgen.Mix.assignments)
+            [ Hosting; Dns; Ca ])
+        (World.countries w1);
+      check Alcotest.int (name ^ " network count")
+        (Internet.network_count (World.internet w1))
+        (Internet.network_count (World.internet w4));
+      Alcotest.(check bool) (name ^ " CA owners in the same order") true
+        (Ca.owners (World.ca_db w1) = Ca.owners (World.ca_db w4));
+      check Alcotest.int (name ^ " issuer count") (Ca.issuer_count (World.ca_db w1))
+        (Ca.issuer_count (World.ca_db w4)))
+    [ World.May_2023; World.May_2025 ]
+
 let test_bootstrap_jobs_invariant () =
   let rng () = Webdep_stats.Rng.create 31 in
   let data = Array.init 400 (fun i -> float_of_int (i mod 23)) in
@@ -239,6 +315,8 @@ let () =
             test_interner_jobs_invariant_at_scale;
           Alcotest.test_case "prepare = direct snapshot" `Quick
             test_prepare_then_snapshot_matches_direct;
+          Alcotest.test_case "prepare registration order jobs-invariant, 150 countries"
+            `Slow test_prepare_registration_order_jobs_invariant;
           Alcotest.test_case "bootstrap jobs-invariant" `Quick test_bootstrap_jobs_invariant;
         ] );
     ]

@@ -63,6 +63,38 @@ let prop_calibrate_random_targets =
       Float.abs (r.Calibrate.achieved -. target) < 2e-4
       && Array.fold_left ( + ) 0 r.Calibrate.counts = 10_000)
 
+(* The quadratic list loop [Calibrate.counts] used before [split_buckets]:
+   re-sort after every split of the smallest bucket >= 2 into (k-1, 1). *)
+let reference_split ~n counts =
+  let buckets = ref (List.sort compare (List.filter (fun k -> k > 0) counts)) in
+  let length = ref (List.length !buckets) in
+  let exhausted = ref false in
+  while !length < n && not !exhausted do
+    match List.find_opt (fun k -> k >= 2) !buckets with
+    | None -> exhausted := true
+    | Some k ->
+        let removed = ref false in
+        buckets :=
+          1 :: (k - 1)
+          :: List.filter
+               (fun x ->
+                 if (not !removed) && x = k then begin
+                   removed := true;
+                   false
+                 end
+                 else true)
+               !buckets;
+        buckets := List.sort compare (List.filter (fun x -> x > 0) !buckets);
+        incr length
+  done;
+  Array.of_list (List.rev !buckets)
+
+let prop_split_buckets_matches_reference =
+  QCheck.Test.make ~name:"split_buckets = the list loop it replaced" ~count:500
+    QCheck.(pair (small_list (int_range 1 60)) (int_range 0 200))
+    (fun (counts, n) ->
+      Calibrate.split_buckets ~n (Array.of_list counts) = reference_split ~n counts)
+
 (* --- Registry ------------------------------------------------------------- *)
 
 let test_registry_class_sizes () =
@@ -300,6 +332,26 @@ let test_world_domains_carry_tlds () =
   in
   Alcotest.(check bool) "some .de domains" true has_de
 
+let test_world_mix_uncalibratable () =
+  (* c=50 is too few sites for Austria's DNS target: the error names the
+     layer, country, epoch and c instead of a bare calibration failure. *)
+  let w = World.create ~c:50 ~seed:1 () in
+  let msg =
+    match World.mix w Scores.Dns "AT" with
+    | _ -> Alcotest.fail "expected Uncalibratable"
+    | exception World.Uncalibratable msg -> msg
+  in
+  Alcotest.(check string) "message names layer, country, epoch, c"
+    "cannot calibrate the dns mix of AT (epoch 2023-05) at c=50: Calibrate.counts: \
+     target 0.0543 outside attainable (0.0633, 0.9800)"
+    msg;
+  Alcotest.check_raises "prepare raises it too" (World.Uncalibratable msg) (fun () ->
+      World.prepare w ~jobs:2 [ "US"; "AT" ]);
+  Alcotest.(check bool) "c=0 is Uncalibratable too" true
+    (match World.mix (World.create ~c:0 ~seed:1 ()) Scores.Hosting "US" with
+    | _ -> false
+    | exception World.Uncalibratable _ -> true)
+
 let test_world_epoch_names () =
   Alcotest.(check string) "2023" "2023-05" (World.epoch_name World.May_2023);
   Alcotest.(check string) "2025" "2025-05" (World.epoch_name World.May_2025)
@@ -354,6 +406,7 @@ let () =
           Alcotest.test_case "invalid" `Quick test_calibrate_invalid;
           Alcotest.test_case "unattainable target" `Quick test_calibrate_unattainable_target;
           qtest prop_calibrate_random_targets;
+          qtest prop_split_buckets_matches_reference;
         ] );
       ( "registry",
         [
@@ -399,5 +452,6 @@ let () =
           Alcotest.test_case "epoch churn" `Quick test_world_epoch_churn;
           Alcotest.test_case "domains carry tlds" `Quick test_world_domains_carry_tlds;
           Alcotest.test_case "epoch names" `Quick test_world_epoch_names;
+          Alcotest.test_case "uncalibratable c" `Quick test_world_mix_uncalibratable;
         ] );
     ]
